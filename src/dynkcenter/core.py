@@ -13,21 +13,31 @@ import csv
 import heapq
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DistanceOutOfRange,
     DuplicateArrival,
+    DuplicateId,
     IndexOutOfRange,
     InvalidBeta,
     InvalidBounds,
     InvertedLifetime,
+    MalformedRecord,
     MetricError,
     TooFewPoints,
 )
 
 # Default size limit for O(n^2)/O(n^3) exhaustive validation passes.
 PAIRWISE_CHECK_CAP = 500
+
+# Side of the square tiles in which the vectorized `extremes` scans the
+# upper triangle of pairs: 256 x 256 = 2**16 pair distances per tile, so its
+# memory stays bounded whatever n is.
+_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,10 @@ def deletion_key(p: TimedPoint):
 class Metric:
     """Distance backend with a per-instance evaluation counter.
 
-    Every ``distance`` call increments ``evals``; the time-bound acceptance
-    checks are stated in terms of this counter, so it is part of the
-    contract rather than debug output.
+    Every ``distance`` call increments ``evals``, and ``extremes`` adds one
+    per pair it covers; the time-bound acceptance checks are stated in
+    terms of this counter, so it is part of the contract rather than debug
+    output.
     """
 
     def __init__(self):
@@ -70,6 +81,29 @@ class Metric:
 
     def _dist(self, a, b) -> float:
         raise NotImplementedError
+
+    def extremes(self, points) -> tuple:
+        """(min, max) distance over all pairs of `points`.
+
+        Counts n(n-1)/2 evaluations, one per pair, whichever backend scans.
+        Raises TooFewPoints below two points.
+        """
+        n = len(points)
+        if n < 2:
+            raise TooFewPoints("need at least two points")
+        lo, hi = self._extremes(points)
+        self.evals += n * (n - 1) // 2
+        return lo, hi
+
+    def _extremes(self, points) -> tuple:
+        """Scalar scan for backends without a vectorized one."""
+        lo, hi = math.inf, -math.inf
+        for i, p in enumerate(points):
+            for q in points[i + 1 :]:
+                d = self._dist(p.payload, q.payload)
+                lo = min(lo, d)
+                hi = max(hi, d)
+        return lo, hi
 
     def clone(self):
         """Fresh counter, same structure. Used to keep audit/oracle distance
@@ -89,6 +123,27 @@ class EuclideanMetric(Metric):
             raise MetricError("payload dimension mismatch")
         return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
+    def _extremes(self, points):
+        try:
+            x = np.array([p.payload for p in points], dtype=float)
+        except (TypeError, ValueError) as e:
+            raise MetricError(f"payloads are not {self.dim}-dimensional coordinates") from e
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise MetricError("payload dimension mismatch")
+
+        def squared(rows, cols):
+            # Squares added column by column from zero, as `_dist`'s sum
+            # adds them, so every distance equals the scalar one bit for
+            # bit; sqrt is monotone, so it is taken of the extremes only.
+            s = 0.0
+            for k in range(self.dim):
+                diff = x[rows, k, None] - x[None, cols, k]
+                s = s + diff * diff
+            return s
+
+        lo, hi = _tile_extremes(len(x), squared)
+        return math.sqrt(lo), math.sqrt(hi)
+
     def clone(self):
         return EuclideanMetric(self.dim)
 
@@ -102,8 +157,6 @@ class MatrixMetric(Metric):
 
     def __init__(self, table, check_cap: int = PAIRWISE_CHECK_CAP):
         super().__init__()
-        import numpy as np
-
         t = np.asarray(table, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise MetricError("matrix metric table must be square")
@@ -128,12 +181,40 @@ class MatrixMetric(Metric):
             raise IndexOutOfRange(f"matrix metric index out of range: {a}, {b}")
         return float(self.table[a][b])
 
+    def _extremes(self, points):
+        idx = np.array([p.payload for p in points])
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+            (idx < 0) | (idx >= self.n)
+        ).any():
+            raise IndexOutOfRange("matrix metric index out of range in points")
+        return _tile_extremes(
+            len(idx), lambda rows, cols: self.table[np.ix_(idx[rows], idx[cols])]
+        )
+
     def clone(self):
         m = MatrixMetric.__new__(MatrixMetric)
         Metric.__init__(m)
         m.table = self.table
         m.n = self.n
         return m
+
+
+def _tile_extremes(n: int, block):
+    """Min and max of `block(rows, cols)`, an array of pair values for two
+    slices of 0..n-1, over all pairs i < j, one tile at a time. A NaN value
+    propagates, so callers comparing against bounds see it."""
+    upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+    lo, hi = np.inf, -np.inf
+    for r in range(0, n - 1, _TILE):
+        rows = slice(r, min(r + _TILE, n))
+        for c in range(r, n, _TILE):
+            vals = block(rows, slice(c, min(c + _TILE, n)))
+            if c == r:
+                m = rows.stop - r
+                vals = vals[upper[:m, :m]]
+            lo = np.minimum(lo, vals.min())
+            hi = np.maximum(hi, vals.max())
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -223,41 +304,48 @@ def validate_stream(
     d_max: float,
     pairwise_cap: int = PAIRWISE_CHECK_CAP,
 ) -> EventStream:
-    """Check lifetimes, arrival uniqueness and (for small n) distance bounds.
+    """Check lifetimes, id and arrival uniqueness and (for small n) distance
+    bounds.
 
     Points are returned sorted by arrival time. The O(n^2) bound check only
-    runs when len(points) <= pairwise_cap; pass 0 to disable it.
+    runs when len(points) <= pairwise_cap; pass 0 to disable it. It counts
+    its evaluations on a clone, not on `metric`.
     """
     pts = sorted(points, key=lambda p: p.t_arr)
-    seen = set()
+    arrivals, ids = set(), set()
     for p in pts:
         if p.t_arr >= p.t_del:
             raise InvertedLifetime(f"point {p.id}: t_arr={p.t_arr} >= t_del={p.t_del}")
-        if p.t_arr in seen:
+        if p.t_arr in arrivals:
             raise DuplicateArrival(f"arrival time {p.t_arr} used twice")
-        seen.add(p.t_arr)
-    if len(pts) <= pairwise_cap:
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                d = metric.distance(p, q)
-                if not (d_min <= d <= d_max):
-                    raise DistanceOutOfRange(
-                        f"d({p.id},{q.id})={d} outside [{d_min}, {d_max}]"
-                    )
+        if p.id in ids:
+            raise DuplicateId(f"point id {p.id} used twice")
+        arrivals.add(p.t_arr)
+        ids.add(p.id)
+    if 2 <= len(pts) <= pairwise_cap:
+        lo, hi = metric.clone().extremes(pts)
+        if not (d_min <= lo and hi <= d_max):
+            raise DistanceOutOfRange(
+                f"{_pair_outside(metric.clone(), pts, d_min, d_max, lo, hi)} "
+                f"outside [{d_min}, {d_max}]"
+            )
     return EventStream(pts, d_min, d_max)
 
 
-def pairwise_extremes(metric: Metric, points) -> tuple:
-    """Min and max pairwise distance by O(n^2) scan."""
-    if len(points) < 2:
-        raise TooFewPoints("need at least two points")
-    lo, hi = math.inf, -math.inf
+def _pair_outside(metric: Metric, points, d_min, d_max, lo, hi) -> str:
+    """Names the first pair, in scan order, whose distance lies outside the
+    bounds; falls back to the extremes if no single distance does."""
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
             d = metric.distance(p, q)
-            lo = min(lo, d)
-            hi = max(hi, d)
-    return lo, hi
+            if not (d_min <= d <= d_max):
+                return f"d({p.id},{q.id})={d}"
+    return f"distances in [{lo}, {hi}]"
+
+
+def pairwise_extremes(metric: Metric, points) -> tuple:
+    """Min and max pairwise distance; see `Metric.extremes`."""
+    return metric.extremes(points)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +365,24 @@ def save_stream_jsonl(points, path):
 def load_stream_jsonl(path):
     points = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            if "coords" in row:
-                payload = tuple(float(c) for c in row["coords"])
-            else:
-                payload = int(row["id"])
-            points.append(
-                TimedPoint(int(row["id"]), payload, int(row["t_arr"]), int(row["t_del"]))
-            )
+            try:
+                row = json.loads(line)
+                if "coords" in row:
+                    payload = tuple(float(c) for c in row["coords"])
+                    if not all(map(math.isfinite, payload)):
+                        raise ValueError("non-finite coordinate")
+                else:
+                    payload = int(row["id"])
+                point = TimedPoint(
+                    int(row["id"]), payload, int(row["t_arr"]), int(row["t_del"])
+                )
+            except (KeyError, TypeError, ValueError) as e:
+                raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
+            points.append(point)
     return points
 
 
@@ -299,6 +393,17 @@ def save_matrix_csv(table, path):
             w.writerow([repr(float(x)) for x in row])
 
 
-def load_matrix_csv(path):
-    with open(path, newline="") as f:
-        return [[float(x) for x in row] for row in csv.reader(f) if row]
+def load_matrix_csv(path) -> np.ndarray:
+    """The distance table of a CSV sidecar, as an n x n float array."""
+    try:
+        with warnings.catch_warnings():
+            # An empty file is rejected below, not warned about.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise MetricError(f"bad matrix file {path}: {e}") from e
+    if table.size == 0:
+        raise MetricError(f"bad matrix file {path}: no rows")
+    if not np.isfinite(table).all():
+        raise MetricError(f"bad matrix file {path}: non-finite distance")
+    return table

@@ -13,6 +13,15 @@ class DuplicateArrival(StreamError):
     pass
 
 
+class DuplicateId(StreamError):
+    pass
+
+
+class MalformedRecord(StreamError):
+    """A stream file line with a missing field, a bad value or a
+    non-finite coordinate."""
+
+
 class InvertedLifetime(StreamError):
     pass
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Metric, pairwise_extremes  # noqa: F401  (re-exported)
+from .core import Metric
 from .errors import EmptyCenters, EmptyPoints, TooLargeForEnumeration
 
 ENUMERATION_CAP = 16

@@ -32,28 +32,15 @@ def _rng(seed: int):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _euclidean_extremes(coords: np.ndarray):
-    """Min/max pairwise distance, vectorized; does not touch any metric
-    evaluation counter."""
-    n = len(coords)
-    if n < 2:
-        return 1.0, 1.0
-    lo, hi = np.inf, 0.0
-    for i in range(n - 1):
-        d = np.sqrt(((coords[i + 1 :] - coords[i]) ** 2).sum(axis=1))
-        lo = min(lo, float(d.min()))
-        hi = max(hi, float(d.max()))
-    return lo, hi
-
-
 def _euclidean_stream(coords, t_arrs, t_dels, declared_h, seed):
     coords = np.asarray(coords, dtype=float)
     points = [
         TimedPoint(i, tuple(coords[i]), int(t_arrs[i]), int(t_dels[i]))
         for i in range(len(coords))
     ]
-    d_min, d_max = _euclidean_extremes(coords)
     metric = EuclideanMetric(coords.shape[1])
+    # Bounds on a clone: the returned metric's counter starts at zero.
+    d_min, d_max = metric.clone().extremes(points) if len(points) >= 2 else (1.0, 1.0)
     return GeneratedStream(EventStream(points, d_min, d_max), metric, declared_h, seed)
 
 
@@ -142,21 +129,26 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
 
 
 def measure_h(stream: EventStream) -> int:
-    """Smallest H such that the stream is H-ordered, by brute force over all
-    arrival-ordered pairs. Deletion ties resolve by (t_del, t_arr)."""
-    pts = sorted(stream.points, key=lambda p: p.t_arr)
-    n = len(pts)
+    """Smallest H such that the stream is H-ordered, in O(n log n) time and
+    O(n) memory. Deletion ties resolve by (t_del, t_arr)."""
+    n = len(stream.points)
     if n < 2:
         return 0
-    t_arr = np.array([p.t_arr for p in pts], dtype=np.int64)
-    t_del = np.array([p.t_del for p in pts], dtype=np.int64)
-    big = int(t_arr.max()) + 1
-    key = t_del * big + t_arr
-    # viol[i, j] for i < j: point i arrives first but outlives point j.
-    viol = np.triu(key[:, None] > key[None, :], k=1)
-    cols = np.nonzero(viol.any(axis=0))[0]
-    if len(cols) == 0:
-        return 0
-    first = viol[:, cols].argmax(axis=0)
+    t_arr = np.fromiter((p.t_arr for p in stream.points), dtype=np.int64, count=n)
+    t_del = np.fromiter((p.t_del for p in stream.points), dtype=np.int64, count=n)
+    arrival = np.argsort(t_arr, kind="stable")
+    t_arr, t_del = t_arr[arrival], t_del[arrival]
+    # Rank in (t_del, t_arr) order, equal keys sharing a rank; ranks are
+    # compared, never combined arithmetically, so no time can overflow.
+    order = np.lexsort((t_arr, t_del))
+    by_del, by_arr = t_del[order], t_arr[order]
+    new_key = np.ones(n, dtype=bool)
+    new_key[1:] = (by_del[1:] != by_del[:-1]) | (by_arr[1:] != by_arr[:-1])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(new_key)
+    # The first earlier point that outlives point j is where the prefix
+    # maximum of the ranks first exceeds j's rank; that is j itself or later
+    # when no earlier point outlives j.
+    first = np.searchsorted(np.maximum.accumulate(rank), rank, side="right")
     # A violating pair with m intermediate arrivals forces H >= m + 1.
-    return int((cols - first).max())
+    return max(0, int((np.arange(n) - first).max()))

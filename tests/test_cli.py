@@ -156,3 +156,31 @@ class TestExitCodes:
         rc = run_cli("run", "--algo", "two", "--k", "1", "--epsilon", "1.0",
                      "--dmin", "0.9", "--dmax", "1.0", "--stream", str(out))
         assert rc == 1
+
+
+class TestBadInputExitCodes:
+    def _run(self, stream, *extra):
+        return run_cli("run", "--algo", "two", "--k", "1", "--epsilon", "1.0",
+                       "--prescan", "--stream", str(stream), *extra)
+
+    def test_bad_matrix_file(self, tmp_path, capsys):
+        out, mat = tmp_path / "adv.jsonl", tmp_path / "adv.csv"
+        run_cli("gen", "--kind", "adversarial", "--n", "4",
+                "--out", str(out), "--matrix-out", str(mat))
+        mat.write_text(mat.read_text().replace("0.0", "nan", 1))
+        assert self._run(out, "--metric", f"matrix:{mat}") == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_coordinate(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        out.write_text('{"id": 0, "t_arr": 1, "t_del": 3, "coords": [0.0]}\n'
+                       '{"id": 1, "t_arr": 2, "t_del": 4, "coords": [NaN]}\n')
+        assert self._run(out) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_duplicate_ids(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        out.write_text('{"id": 0, "t_arr": 1, "t_del": 3, "coords": [0.0]}\n'
+                       '{"id": 0, "t_arr": 2, "t_del": 4, "coords": [1.0]}\n')
+        assert self._run(out) == 1
+        assert "id 0" in capsys.readouterr().err

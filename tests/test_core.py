@@ -1,25 +1,38 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynkcenter import (
     DeletionQueue,
     EuclideanMetric,
     MatrixMetric,
+    Metric,
     TimedPoint,
     build_guess_ladder,
+    random_lifetime_stream,
     validate_stream,
 )
-from dynkcenter.core import _floor_log, load_stream_jsonl, save_stream_jsonl
+from dynkcenter.core import (
+    _TILE,
+    _floor_log,
+    load_matrix_csv,
+    load_stream_jsonl,
+    save_matrix_csv,
+    save_stream_jsonl,
+)
 from dynkcenter.errors import (
     DistanceOutOfRange,
     DuplicateArrival,
+    DuplicateId,
     IndexOutOfRange,
     InvalidBeta,
     InvalidBounds,
     InvertedLifetime,
+    MalformedRecord,
     MetricError,
+    TooFewPoints,
 )
 from conftest import line_metric, line_points
 
@@ -128,6 +141,30 @@ class TestValidateStream:
         stream = validate_stream(pts, line_metric(), 1, 10, pairwise_cap=0)
         assert len(stream.points) == 2
 
+    def test_duplicate_id(self):
+        pts = [TimedPoint(7, (0.0,), 1, 9), TimedPoint(7, (1.0,), 2, 9)]
+        with pytest.raises(DuplicateId):
+            validate_stream(pts, line_metric(), 1, 1)
+
+    def test_names_first_pair_outside(self):
+        pts = line_points([(1, 0, 1, 9), (2, 5, 2, 9), (3, 100, 3, 9), (4, 0.5, 4, 9)])
+        with pytest.raises(DistanceOutOfRange, match=r"d\(1,3\)=100\.0"):
+            validate_stream(pts, line_metric(), 0.5, 10)
+
+    def test_counts_on_its_own_clone(self):
+        metric = line_metric()
+        validate_stream(line_points([(1, 0, 1, 9), (2, 5, 2, 9)]), metric, 5, 5)
+        assert metric.evals == 0
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_generated_bounds_validate(self, dim):
+        # The generators' bounds are the scalar distances' own extremes.
+        for seed in range(4):
+            gen = random_lifetime_stream(300, dim, 20, seed)
+            validate_stream(
+                gen.stream.points, gen.metric.clone(), gen.stream.d_min, gen.stream.d_max
+            )
+
 
 class TestDeletionQueue:
     @given(
@@ -176,3 +213,147 @@ def test_jsonl_matrix_payload(tmp_path):
     path = tmp_path / "s.jsonl"
     save_stream_jsonl(pts, path)
     assert load_stream_jsonl(path) == pts
+
+
+def scalar_extremes(metric, points):
+    """Reference: every pair through `distance`, one at a time."""
+    ds = [metric.distance(p, q) for i, p in enumerate(points) for q in points[i + 1 :]]
+    return min(ds), max(ds)
+
+
+def coord_points(coords):
+    return [TimedPoint(i, tuple(float(x) for x in c), i + 1, i + 2) for i, c in enumerate(coords)]
+
+
+class LineMetric(Metric):
+    """A backend with no vectorized scan of its own."""
+
+    def _dist(self, a, b):
+        return float(abs(a - b))
+
+    def clone(self):
+        return LineMetric()
+
+
+TILE_SIZES = [2, 3, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1]
+
+
+class TestExtremes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * dim), min_size=2, max_size=12
+        )
+    ))
+    def test_euclidean_equals_scalar_on_drawn_points(self, coords):
+        pts = coord_points(coords)
+        dim = len(coords[0])
+        assert EuclideanMetric(dim).extremes(pts) == scalar_extremes(EuclideanMetric(dim), pts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 10),
+        st.sampled_from(TILE_SIZES),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-3, 1.0, 1e5]),
+        st.booleans(),
+    )
+    def test_euclidean_equals_scalar_at_tile_boundaries(self, dim, n, seed, scale, repeat):
+        coords = np.random.default_rng(seed).random((n, dim)) * scale
+        if repeat:  # a zero distance between the first and the last tile
+            coords[-1] = coords[0]
+        pts = coord_points(coords)
+        assert EuclideanMetric(dim).extremes(pts) == scalar_extremes(EuclideanMetric(dim), pts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(TILE_SIZES), st.integers(0, 2**32 - 1))
+    def test_matrix_equals_scalar_with_repeated_payloads(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(50, 101, size=(m, m)).astype(float)  # any such table is a metric
+        table = np.triu(table, 1) + np.triu(table, 1).T
+        metric = MatrixMetric(table)
+        pts = [TimedPoint(i, int(a), i + 1, i + 2) for i, a in enumerate(rng.integers(0, m, n))]
+        assert metric.extremes(pts) == scalar_extremes(metric.clone(), pts)
+
+    @pytest.mark.parametrize("n", TILE_SIZES)
+    def test_evals_rise_by_pair_count(self, n):
+        rng = np.random.default_rng(n)
+        euclid = coord_points(rng.random((n, 3)))
+        table = np.triu(np.full((4, 4), 7.0), 1)
+        indexed = [TimedPoint(i, i % 4, i + 1, i + 2) for i in range(n)]
+        for metric, pts in (
+            (EuclideanMetric(3), euclid),
+            (MatrixMetric(table + table.T), indexed),
+            (LineMetric(), indexed),
+        ):
+            metric.evals = 5
+            metric.extremes(pts)
+            assert metric.evals == 5 + n * (n - 1) // 2
+
+    def test_base_scan_equals_scalar(self):
+        pts = [TimedPoint(i, x, i + 1, i + 2) for i, x in enumerate([4, 9, 4, -3])]
+        assert LineMetric().extremes(pts) == scalar_extremes(LineMetric(), pts) == (0.0, 12.0)
+
+    def test_too_few_points(self):
+        for metric, p in ((EuclideanMetric(1), (0.0,)), (MatrixMetric([[0]]), 0),
+                          (LineMetric(), 0)):
+            with pytest.raises(TooFewPoints):
+                metric.extremes([TimedPoint(0, p, 1, 2)])
+
+    def test_matrix_bad_index(self):
+        pts = [TimedPoint(0, 0, 1, 2), TimedPoint(1, 2, 2, 3)]
+        with pytest.raises(IndexOutOfRange):
+            MatrixMetric([[0, 1], [1, 0]]).extremes(pts)
+        with pytest.raises(IndexOutOfRange):
+            MatrixMetric([[0, 1], [1, 0]]).extremes([pts[0], TimedPoint(1, -1, 2, 3)])
+
+    def test_euclidean_dimension_mismatch(self):
+        with pytest.raises(MetricError):
+            EuclideanMetric(2).extremes(coord_points([(0.0, 1.0), (2.0, 3.0), (1.0,)]))
+        with pytest.raises(MetricError):
+            EuclideanMetric(2).extremes(coord_points([(0.0,), (2.0,)]))
+
+
+class TestLoaders:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": [NaN, 0.0]}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": [Infinity, 0.0]}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": ["-inf", 0.0]}',
+            '{"id": 0, "t_arr": 1, "coords": [0.0, 0.0]}',
+            '{"t_arr": 1, "t_del": 3}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": ["x", 0.0]}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": 5}',
+            '{"id": 0, "t_arr": 1',
+            "[1, 2, 3]",
+        ],
+    )
+    def test_bad_stream_line(self, tmp_path, line):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"id": 1, "t_arr": 0, "t_del": 2, "coords": [1.0, 1.0]}\n' + line + "\n")
+        with pytest.raises(MalformedRecord, match="line 2"):
+            load_stream_jsonl(path)
+
+    def test_matrix_roundtrip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(3)
+        table = rng.random((40, 40)) * 10.0 ** rng.integers(-8, 8, (40, 40))
+        path = tmp_path / "m.csv"
+        save_matrix_csv(table, path)
+        back = load_matrix_csv(path)
+        assert back.dtype == float and np.array_equal(back, table)
+
+    def test_matrix_single_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0.0\n")
+        assert load_matrix_csv(path).shape == (1, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0,1\n1\n", "0,x\n1,0\n", "0,nan\nnan,0\n", "0,inf\ninf,0\n", "0,-inf\n-inf,0\n", ""],
+    )
+    def test_bad_matrix_file(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(MetricError):
+            load_matrix_csv(path)

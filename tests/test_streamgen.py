@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynkcenter import (
     EventStream,
@@ -145,3 +148,42 @@ class TestMeasureH:
             assert is_h_ordered(h)
             if h > 0:
                 assert not is_h_ordered(h - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_naive_with_ties(self, data):
+        # Small ranges make tied t_del, tied t_arr and equal keys common.
+        lives = data.draw(
+            st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=0, max_size=40)
+        )
+        pts = [TimedPoint(i, (0.0,), t_arr, t_arr + life) for i, (t_arr, life) in enumerate(lives)]
+        pts = data.draw(st.permutations(pts))
+        assert measure_h(EventStream(pts, 1, 1)) == naive_measure_h(pts)
+
+    def test_matches_naive_on_generated_streams(self):
+        for seed in range(100):
+            gens = (
+                random_lifetime_stream(60, 1, 1 + seed % 40, seed=seed),
+                h_bounded_stream(60, seed % 60, 1, seed=seed),
+            )
+            for gen in gens:
+                assert measure_h(gen.stream) == naive_measure_h(gen.stream.points)
+
+    def test_epoch_millisecond_times(self):
+        # Packing (t_del, t_arr) into one int64 key overflowed at these times.
+        base = 1_760_000_000_000
+        pts = [TimedPoint(i, (0.0,), base + i, base + (i + 1) * 3_600_000) for i in range(20)]
+        assert measure_h(EventStream(pts, 1, 1)) == 0
+        pts[3] = TimedPoint(3, (0.0,), base + 3, base + 100 * 3_600_000)
+        assert measure_h(EventStream(pts, 1, 1)) == naive_measure_h(pts) == 16
+
+    def test_memory_is_linear(self):
+        n = 100_000
+        pts = [TimedPoint(i, (0.0,), i + 1, i + 2 + (i * 7919) % 500) for i in range(n)]
+        tracemalloc.start()
+        try:
+            measure_h(EventStream(pts, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
