@@ -103,7 +103,7 @@ class VanishingTracker:
         self._vanishing = set()
 
     def observe(self, clustering: TwoApproxClustering):
-        snap = clustering.classification()
+        snap = self._classification(clustering)
         for key, is_vanishing in snap.items():
             if key in self._vanishing and not is_vanishing:
                 raise InvariantViolation(
@@ -114,6 +114,20 @@ class VanishingTracker:
                 self._vanishing.add(key)
         # Forget expired entries so ids can be reused across tests.
         self._vanishing &= set(snap)
+
+    @staticmethod
+    def _classification(clustering: TwoApproxClustering):
+        """(guess index, point id) -> True when vanishing. Unclustered
+        points are vanishing by definition."""
+        out = {}
+        for gi, st in enumerate(clustering.states):
+            for cl in st.clusters:
+                ck = deletion_key(cl.center)
+                for x in cl.members:
+                    out[(gi, x.id)] = deletion_key(x) <= ck
+            for x in st.unclustered:
+                out[(gi, x.id)] = True
+        return out
 
 
 def audit_six_approx(clustering: SixApproxClustering, active_points, t):

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import core, runner, streamgen
-from .errors import DynKCenterError, InvariantViolation
+from .errors import DynKCenterError, InvalidParameter, InvariantViolation
 
 
 def _build_parser():
@@ -32,7 +32,7 @@ def _build_parser():
     gen.add_argument("--matrix-out", default=None, help="sidecar CSV for matrix metrics")
 
     def common(p, oracle_cap=False):
-        p.add_argument("--algo", required=True, choices=["two", "six"])
+        p.add_argument("--algo", required=True, choices=list(runner.ALGORITHMS))
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--epsilon", type=float, required=True)
         p.add_argument("--dmin", type=float, default=None)
@@ -58,7 +58,7 @@ def _build_parser():
     bench_p = sub.add_parser("bench", help="operation-count growth benchmark")
     bench_p.add_argument("--sizes", required=True, help="comma list, e.g. 200,400,800")
     bench_p.add_argument("--kind", default="adversarial", choices=["adversarial", "random"])
-    bench_p.add_argument("--algo", default="two", choices=["two", "six"])
+    bench_p.add_argument("--algo", default="two", choices=list(runner.ALGORITHMS))
     bench_p.add_argument("--k", type=int, default=2)
     bench_p.add_argument("--epsilon", type=float, default=1.0)
     bench_p.add_argument("--gamma", type=float, default=1.0)
@@ -85,8 +85,15 @@ def _parse_queries(spec):
     if spec in ("every", "end"):
         return spec
     if spec.startswith("at:"):
-        return [int(x) for x in spec[3:].split(",") if x]
+        return _int_list("--queries", spec[3:])
     raise DynKCenterError(f"bad --queries value {spec!r}")
+
+
+def _int_list(flag, text):
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise InvalidParameter(f"bad {flag} value {text!r}: not a comma list of integers") from None
 
 
 def _cmd_gen(args):
@@ -148,27 +155,22 @@ def _cmd_run(args, verify):
 
 
 def _cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if args.kind == "adversarial":
-        config = runner.RunConfig(
-            algorithm="two",
-            k=args.k,
-            epsilon=args.epsilon,
-            d_min=args.gamma,
-            d_max=args.gamma,
-            reclustering_enabled=not args.no_reclustering,
-            single_gamma=args.gamma,
-        )
+    sizes = _int_list("--sizes", args.sizes)
+    adversarial = args.kind == "adversarial"
+    # The adversarial stream runs on one guess, gamma, to show reclustering's
+    # effect; random streams on a ladder over their whole distance range.
+    config = runner.RunConfig(
+        algorithm=args.algo,
+        k=args.k,
+        epsilon=args.epsilon,
+        d_min=args.gamma if adversarial else 0.05,
+        d_max=args.gamma if adversarial else 2.0,
+        reclustering_enabled=not args.no_reclustering,
+        single_gamma=args.gamma if adversarial else None,
+    )
+    if adversarial:
         make = lambda n: streamgen.adversarial_quadratic_stream(n, args.gamma)
     else:
-        config = runner.RunConfig(
-            algorithm=args.algo,
-            k=args.k,
-            epsilon=args.epsilon,
-            d_min=0.05,
-            d_max=2.0,
-            reclustering_enabled=not args.no_reclustering,
-        )
         make = lambda n: streamgen.random_lifetime_stream(
             n, args.dim, args.max_life, args.seed
         )

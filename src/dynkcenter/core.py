@@ -25,9 +25,12 @@ from .errors import (
     IndexOutOfRange,
     InvalidBeta,
     InvalidBounds,
+    InvalidParameter,
     InvertedLifetime,
     MalformedRecord,
     MetricError,
+    NonMonotoneArrival,
+    PastTime,
     TooFewPoints,
 )
 
@@ -53,13 +56,9 @@ class TimedPoint:
     t_arr: int
     t_del: int
 
-    @property
-    def key(self):
-        """Total order used for expiry and every latest-deletion selection."""
-        return (self.t_del, self.t_arr)
-
 
 def deletion_key(p: TimedPoint):
+    """Total order used for expiry and every latest-deletion selection."""
     return (p.t_del, p.t_arr)
 
 
@@ -121,7 +120,9 @@ class EuclideanMetric(Metric):
     def _dist(self, a, b):
         if len(a) != self.dim or len(b) != self.dim:
             raise MetricError("payload dimension mismatch")
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+        # Squares by multiplication, as the vectorized `extremes` takes them:
+        # `** 2` goes through libm pow, which can round differently.
+        return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
     def _extremes(self, points):
         try:
@@ -261,11 +262,66 @@ def build_guess_ladder(d_min: float, d_max: float, beta: float) -> GuessLadder:
     return GuessLadder(d_min, d_max, beta, guesses)
 
 
+class LadderClustering:
+    """The shell both structures share: one state per rung of a geometric
+    ladder of radius guesses, strictly increasing arrivals, a clock that
+    never runs backwards, and answers of radius at most FACTOR * gamma at
+    the smallest feasible guess gamma, hence the FACTOR + epsilon ratio.
+
+    A subclass sets FACTOR and State (its per-guess state, built from
+    gamma) and provides ``update(p)``, ``query(t)``, ``stored_points()``
+    and ``peak_stored``. RECLUSTERS says whether it has the size-balance
+    reclustering that ``reclustering_enabled`` switches.
+    """
+
+    FACTOR: float
+    State: type
+    RECLUSTERS = False
+
+    def __init__(
+        self,
+        k: int,
+        epsilon: float,
+        d_min: float,
+        d_max: float,
+        metric: Metric,
+        ladder: GuessLadder | None = None,
+    ):
+        if k < 1:
+            raise InvalidParameter(f"k must be >= 1, got {k}")
+        if epsilon <= 0:
+            raise InvalidBeta(f"epsilon must be positive, got {epsilon}")
+        self.k = k
+        self.epsilon = epsilon
+        self.metric = metric
+        self.ladder = ladder if ladder is not None else build_guess_ladder(
+            d_min, d_max, epsilon / self.FACTOR
+        )
+        self.states = [self.State(g) for g in self.ladder]
+        self.ops = 0  # structural operation counter
+        self._last_arrival = -math.inf
+        self._now = -math.inf  # latest time seen by update or query
+
+    def _advance(self, t, p=None):
+        """Move the clock to t, first checking that time does not run
+        backwards and that an arrival p comes after the previous one."""
+        if p is not None:
+            if p.t_arr <= self._last_arrival:
+                raise NonMonotoneArrival(f"arrival {p.t_arr} not after {self._last_arrival}")
+            if p.t_arr < self._now:
+                raise NonMonotoneArrival(f"arrival {p.t_arr} before time {self._now}")
+        if t < self._now:
+            raise PastTime(f"time {t} is before time {self._now}")
+        self._now = t
+        if p is not None:
+            self._last_arrival = p.t_arr
+
+
 class DeletionQueue:
     """Min-heap over (t_del, t_arr); holds the active inserted points.
 
-    Per-guess handle maps (point id -> list node) live inside the guess
-    states, so a dequeued point's entries are reachable in O(1).
+    Per-guess handle maps (point id -> owning cluster) live inside the
+    guess states, so a dequeued point's entries are reachable in O(1).
     """
 
     def __init__(self):

@@ -31,7 +31,21 @@ class DistanceOutOfRange(StreamError):
 
 
 class NonMonotoneArrival(StreamError):
-    pass
+    """An arrival not after the previous one, or before the latest time
+    a structure has seen."""
+
+
+class PastTime(DynKCenterError):
+    """A query or expiry-only advance at a time before the latest one a
+    structure has seen."""
+
+
+class NoCurrentQuery(DynKCenterError):
+    """witness() with no query since the structure last changed."""
+
+
+class InvalidParameter(DynKCenterError):
+    """A size, count or name outside what the call accepts."""
 
 
 class InvalidBounds(DynKCenterError):

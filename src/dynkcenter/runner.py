@@ -4,11 +4,11 @@ test suite."""
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .audits import VanishingTracker, audit_six_approx, audit_two_approx
-from .core import EventStream, Metric
-from .errors import InvariantViolation
+from .core import EventStream, GuessLadder, Metric
+from .errors import InvalidParameter, InvariantViolation
 from .oracle import ENUMERATION_CAP, exact_kcenter, radius
 from .six_approx import SixApproxClustering
 from .streamgen import measure_h
@@ -47,6 +47,7 @@ class RunConfig:
 class RunReport:
     rows: list = field(default_factory=list)
     wall_time: float = 0.0
+    clustering: object = None  # the replayed structure, in its final state
 
     def to_csv(self, path):
         with open(path, "w") as f:
@@ -74,28 +75,42 @@ def _max_concurrent_active(points) -> int:
     return peak
 
 
+def _audit_two(clustering, active, t, tracker):
+    audit_two_approx(clustering, active)
+    tracker.observe(clustering)
+
+
+def _audit_six(clustering, active, t, tracker):
+    audit_six_approx(clustering, active, t)
+
+
+# Algorithm name -> (structure class, audit run after every update under
+# verify). The only place that tells the algorithms apart.
+ALGORITHMS = {
+    "two": (TwoApproxClustering, _audit_two),
+    "six": (SixApproxClustering, _audit_six),
+}
+
+
 def make_clustering(config: RunConfig, metric: Metric):
-    if config.algorithm == "two":
-        if config.single_gamma is not None:
-            return TwoApproxClustering.single_guess(
-                config.k,
-                config.single_gamma,
-                metric,
-                reclustering_enabled=config.reclustering_enabled,
-            )
-        return TwoApproxClustering(
-            config.k,
-            config.epsilon,
-            config.d_min,
-            config.d_max,
-            metric,
-            reclustering_enabled=config.reclustering_enabled,
+    if config.algorithm not in ALGORITHMS:
+        raise InvalidParameter(
+            f"unknown algorithm {config.algorithm!r}; expected one of "
+            f"{', '.join(ALGORITHMS)}"
         )
-    if config.algorithm == "six":
-        return SixApproxClustering(
-            config.k, config.epsilon, config.d_min, config.d_max, metric
+    cls, _ = ALGORITHMS[config.algorithm]
+    options = {}
+    if cls.RECLUSTERS:
+        options["reclustering_enabled"] = config.reclustering_enabled
+    elif not config.reclustering_enabled or config.single_gamma is not None:
+        raise InvalidParameter(
+            f"algorithm {config.algorithm!r} has no reclustering: it takes "
+            "neither reclustering off nor the one-guess adversarial benchmark"
         )
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    if config.single_gamma is not None:
+        g = config.single_gamma
+        options["ladder"] = GuessLadder(g, g, 1.0, (g,))
+    return cls(config.k, config.epsilon, config.d_min, config.d_max, metric, **options)
 
 
 def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
@@ -103,7 +118,7 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
 
     With verify enabled, the full invariant suite runs after every update
     and every query's radius is checked against the enumeration oracle; the
-    bound for the approximation ratio is (2+eps) or (6+eps) respectively.
+    bound for the approximation ratio is the structure's FACTOR + eps.
     """
     points = sorted(stream.points, key=lambda p: p.t_arr)
     if config.verify and points:
@@ -114,24 +129,19 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
                 f"max concurrent active {peak} exceeds cap {config.oracle_cap}",
             )
     clustering = make_clustering(config, metric)
+    _, audit = ALGORITHMS[config.algorithm]
     oracle_metric = metric.clone()
-    ratio_bound = (2.0 if config.algorithm == "two" else 6.0) + config.epsilon
+    ratio_bound = clustering.FACTOR + config.epsilon
     h = measure_h(stream) if points else 0
     tracker = VanishingTracker()
-    report = RunReport()
+    report = RunReport(clustering=clustering)
     started = _time.perf_counter()
 
     query_times = set()
     if isinstance(config.queries, (list, tuple)):
         query_times = set(config.queries)
 
-    active = []
-
-    def refresh_active(t):
-        active[:] = [x for x in active if x.t_del > t]
-
-    def do_query(t):
-        refresh_active(t)
+    def do_query(t, active):
         sol = clustering.query(t)
         rad = oracle_r = ratio = None
         if active:
@@ -169,62 +179,50 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
                 "distance_evals": metric.evals,
                 "structural_ops": clustering.ops,
                 "stored_points": clustering.stored_points(),
-                "peak_stored": _peak(clustering),
+                "peak_stored": clustering.peak_stored,
                 "measured_h": h,
             }
         )
 
+    # Arrivals not yet known to have expired; pruned only when an audit or
+    # a query reads the active set.
+    active = []
+    last = points[-1] if points else None
     for p in points:
         t = p.t_arr
-        if config.algorithm == "two":
-            clustering.update(p, t)
-        else:
-            clustering.update(p)
+        clustering.update(p)
         active.append(p)
-        refresh_active(t)
+        query = (
+            config.queries == "every"
+            or t in query_times
+            or (config.queries == "end" and p is last)
+        )
+        if config.verify or query:
+            active[:] = [x for x in active if x.t_del > t]
         if config.verify:
-            if config.algorithm == "two":
-                audit_two_approx(clustering, active)
-                tracker.observe(clustering)
-            else:
-                audit_six_approx(clustering, active, t)
-        if config.queries == "every" or t in query_times:
-            do_query(t)
-    if points and config.queries == "end":
-        do_query(points[-1].t_arr)
+            audit(clustering, active, t, tracker)
+        if query:
+            do_query(t, active)
     report.wall_time = _time.perf_counter() - started
     return report
 
 
-def _peak(clustering):
-    if isinstance(clustering, TwoApproxClustering):
-        return clustering.peak_stored
-    return max(clustering.peak_per_guess, default=0)
-
-
 def bench(make_stream, config: RunConfig, sizes) -> list:
-    """Replay one stream per size and report operation totals and the
-    ops(2n)/ops(n) growth ratios. `make_stream(n)` must return a
-    GeneratedStream."""
+    """Replay one stream per size, without queries, and report operation
+    totals and the ops(2n)/ops(n) growth ratios. `make_stream(n)` must
+    return a GeneratedStream."""
     rows = []
     for n in sizes:
         gen = make_stream(n)
         metric = gen.metric.clone()
-        started = _time.perf_counter()
-        clustering = make_clustering(config, metric)
-        for p in sorted(gen.stream.points, key=lambda q: q.t_arr):
-            if config.algorithm == "two":
-                clustering.update(p, p.t_arr)
-            else:
-                clustering.update(p)
-        elapsed = _time.perf_counter() - started
+        report = run(replace(config, queries=()), gen.stream, metric)
         rows.append(
             {
                 "n": n,
-                "structural_ops": clustering.ops,
+                "structural_ops": report.clustering.ops,
                 "distance_evals": metric.evals,
-                "wall_time": elapsed,
-                "peak_stored": _peak(clustering),
+                "wall_time": report.wall_time,
+                "peak_stored": report.clustering.peak_stored,
             }
         )
     for i in range(1, len(rows)):

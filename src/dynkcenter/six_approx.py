@@ -8,8 +8,8 @@ or expired. Queries greedily cover the representative set.
 
 from __future__ import annotations
 
-from .core import GuessLadder, Metric, build_guess_ladder, deletion_key
-from .errors import InvalidBeta, NoFeasibleGuess, NonMonotoneArrival
+from .core import GuessLadder, LadderClustering, Metric, deletion_key
+from .errors import NoFeasibleGuess
 from .oracle import Solution, greedy_cover
 
 
@@ -37,7 +37,10 @@ class SixApproxGuessState:
         return len(self.attractors), len(self.attractors) + len(self.orphans)
 
 
-class SixApproxClustering:
+class SixApproxClustering(LadderClustering):
+    FACTOR = 6.0
+    State = SixApproxGuessState
+
     def __init__(
         self,
         k: int,
@@ -47,27 +50,14 @@ class SixApproxClustering:
         metric: Metric,
         ladder: GuessLadder | None = None,
     ):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if epsilon <= 0:
-            raise InvalidBeta(f"epsilon must be positive, got {epsilon}")
-        self.k = k
-        self.epsilon = epsilon
-        self.metric = metric
-        self.ladder = ladder if ladder is not None else build_guess_ladder(
-            d_min, d_max, epsilon / 6.0
-        )
-        self.states = [SixApproxGuessState(g) for g in self.ladder]
-        self.ops = 0
+        super().__init__(k, epsilon, d_min, d_max, metric, ladder)
         self.peak_per_guess = [0] * len(self.states)
-        self._last_arrival = None
 
     # -- update ------------------------------------------------------------
 
     def update(self, p):
-        if self._last_arrival is not None and p.t_arr <= self._last_arrival:
-            raise NonMonotoneArrival(f"arrival {p.t_arr} not after {self._last_arrival}")
         t = p.t_arr
+        self._advance(t, p)
         for st in self.states:
             self._purge(st, t)
             two_g = 2.0 * st.gamma
@@ -90,8 +80,7 @@ class SixApproxClustering:
                     a.rep = p  # the displaced representative is dropped
                     self.ops += 1
                 # otherwise p is discarded for this guess
-        self._last_arrival = t
-        self._track_peaks()
+        self.audit_space()
 
     def _purge(self, st: SixApproxGuessState, t):
         """Drop every stored point with t_del <= t. An expired attractor's
@@ -130,6 +119,7 @@ class SixApproxClustering:
     def query(self, t) -> Solution:
         """Greedy 2*gamma cover of the representatives, at the smallest
         feasible guess."""
+        self._advance(t)
         for st in self.states:
             self._purge(st, t)
         any_active = any(st.attractors or st.orphans for st in self.states)
@@ -159,8 +149,10 @@ class SixApproxClustering:
                 self.peak_per_guess[gi] = n_a + n_r
         return snap
 
-    def _track_peaks(self):
-        self.audit_space()
+    @property
+    def peak_stored(self) -> int:
+        """Largest |A|+|R| any one guess has held."""
+        return max(self.peak_per_guess, default=0)
 
     def stored_points(self) -> int:
         return sum(a + r for a, r in (st.sizes() for st in self.states))

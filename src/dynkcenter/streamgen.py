@@ -16,7 +16,7 @@ from .core import (
     Metric,
     TimedPoint,
 )
-from .errors import InvalidH
+from .errors import InvalidH, InvalidParameter
 
 
 @dataclass
@@ -48,7 +48,7 @@ def sliding_window_stream(payloads, window: int) -> GeneratedStream:
     """Point i arrives at time i+1 and lives exactly `window` steps; such
     streams are 0-ordered."""
     if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+        raise InvalidParameter(f"window must be >= 1, got {window}")
     n = len(payloads)
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [i + 1 + window for i in range(n)]
@@ -59,7 +59,7 @@ def random_lifetime_stream(n: int, payload_dim: int, max_life: int, seed: int) -
     """Uniform payloads in [0,1]^dim; lifetime of point i drawn uniformly
     from 1..max_life. Same seed, same stream."""
     if n < 1 or max_life < 1:
-        raise ValueError("need n >= 1 and max_life >= 1")
+        raise InvalidParameter(f"need n >= 1 and max_life >= 1, got {n} and {max_life}")
     rng = _rng(seed)
     coords = rng.random((n, payload_dim))
     lives = rng.integers(1, max_life + 1, size=n)
@@ -96,7 +96,7 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
     from the blob, so each can open a fresh cluster that soon dies.
     """
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise InvalidParameter(f"need n >= 3, got {n}")
     m = 2 * n
     table = np.zeros((m, m))
     blob = range(1, n)  # indices of the long-lived blob

@@ -1,75 +1,33 @@
 """(2+eps)-approximate dynamic k-center with known deletion times.
 
 Per radius guess the structure keeps an ordered list of centers, one
-doubly-linked member list per cluster (the center included), an
-unclustered list, and per-cluster persistent/vanishing counters. A global
-expiry queue drives deletions; a size-balance rule triggers suffix
-reclustering so that reassignment work stays amortized O(k) per update.
+member set per cluster (the center included), an unclustered set, and
+per-cluster persistent/vanishing counters. Member and unclustered sets are
+insertion-ordered dicts keyed by point id, so they iterate in append order
+and delete in O(1). A global expiry queue drives deletions; a size-balance
+rule triggers suffix reclustering so that reassignment work stays
+amortized O(k) per update.
 """
 
 from __future__ import annotations
 
-from .core import DeletionQueue, GuessLadder, Metric, build_guess_ladder, deletion_key
-from .errors import InvalidBeta, NoFeasibleGuess, NonMonotoneArrival, PointNotFound
+from .core import DeletionQueue, GuessLadder, LadderClustering, Metric, deletion_key
+from .errors import InvalidParameter, NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
 
 
-class _Node:
-    __slots__ = ("point", "prev", "next", "list")
+class _Points(dict):
+    """Point id -> point, iterating over the points in insertion order."""
 
-    def __init__(self, point):
-        self.point = point
-        self.prev = None
-        self.next = None
-        self.list = None
-
-
-class _DList:
-    """Intrusive doubly-linked list; nodes unlink in O(1) via handles."""
-
-    __slots__ = ("head", "tail", "size", "owner")
-
-    def __init__(self, owner=None):
-        self.head = None
-        self.tail = None
-        self.size = 0
-        self.owner = owner  # the cluster this list belongs to; None for U
-
-    def append(self, point) -> _Node:
-        node = _Node(point)
-        node.list = self
-        node.prev = self.tail
-        if self.tail is not None:
-            self.tail.next = node
-        self.tail = node
-        if self.head is None:
-            self.head = node
-        self.size += 1
-        return node
-
-    def remove(self, node: _Node):
-        if node.list is not self:
-            raise PointNotFound(f"node for point {node.point.id} not in this list")
-        if node.prev is not None:
-            node.prev.next = node.next
-        else:
-            self.head = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        else:
-            self.tail = node.prev
-        node.prev = node.next = node.list = None
-        self.size -= 1
+    __slots__ = ()
+    size = property(len)
 
     def __iter__(self):
-        n = self.head
-        while n is not None:
-            nxt = n.next
-            yield n.point
-            n = nxt
+        return iter(self.values())
 
-    def __len__(self):
-        return self.size
+    def remove(self, p):
+        if self.pop(p.id, None) is None:
+            raise PointNotFound(f"point {p.id} not in this set")
 
 
 class _Cluster:
@@ -77,33 +35,34 @@ class _Cluster:
 
     def __init__(self, center):
         self.center = center
-        self.members = _DList(owner=self)
+        self.members = _Points()
         self.persistent = 0
         self.vanishing = 0
 
 
 class TwoApproxGuessState:
-    """Per-guess clustered structure (centers, member lists, unclustered)."""
+    """Per-guess clustered structure (centers, member sets, unclustered)."""
 
     __slots__ = ("gamma", "clusters", "unclustered", "handles")
 
     def __init__(self, gamma: float):
         self.gamma = gamma
         self.clusters = []
-        self.unclustered = _DList(owner=None)
-        self.handles = {}  # point id -> _Node
-
-    def stored_count(self):
-        return len(self.handles)
+        self.unclustered = _Points()
+        self.handles = {}  # point id -> owning _Cluster, or None for unclustered
 
 
-class TwoApproxClustering:
+class TwoApproxClustering(LadderClustering):
     """Dynamic clustering over the full guess ladder.
 
     ``update(p)`` handles one arrival (after flushing due expiries);
     ``update(None, t)`` flushes expiries only. ``query(t)`` returns the
     centers of the smallest guess whose unclustered set is empty.
     """
+
+    FACTOR = 2.0
+    State = TwoApproxGuessState
+    RECLUSTERS = True
 
     def __init__(
         self,
@@ -115,27 +74,15 @@ class TwoApproxClustering:
         reclustering_enabled: bool = True,
         ladder: GuessLadder | None = None,
     ):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if epsilon <= 0:
-            raise InvalidBeta(f"epsilon must be positive, got {epsilon}")
-        self.k = k
-        self.epsilon = epsilon
-        self.metric = metric
+        super().__init__(k, epsilon, d_min, d_max, metric, ladder)
         self.reclustering_enabled = reclustering_enabled
-        self.ladder = ladder if ladder is not None else build_guess_ladder(
-            d_min, d_max, epsilon / 2.0
-        )
-        self.states = [TwoApproxGuessState(g) for g in self.ladder]
         self.queue = DeletionQueue()
-        self.ops = 0  # structural operation counter
         self.peak_stored = 0
-        self._last_arrival = None
         self._last_query_index = None
 
     @classmethod
     def single_guess(cls, k, gamma, metric, reclustering_enabled=True):
-        """One-guess instance, used by the adversarial-stream benchmark."""
+        """One-guess instance, as the adversarial-stream benchmark runs it."""
         ladder = GuessLadder(gamma, gamma, 1.0, (gamma,))
         return cls(k, 2.0, gamma, gamma, metric, reclustering_enabled, ladder)
 
@@ -145,12 +92,10 @@ class TwoApproxClustering:
         if p is not None:
             if t is None:
                 t = p.t_arr
-            if self._last_arrival is not None and p.t_arr <= self._last_arrival:
-                raise NonMonotoneArrival(
-                    f"arrival {p.t_arr} not after {self._last_arrival}"
-                )
         elif t is None:
-            raise ValueError("update(None) needs an explicit time")
+            raise InvalidParameter("update(None) needs an explicit time")
+        self._advance(t, p)
+        self._last_query_index = None
         while len(self.queue) and self.queue.peek_key()[0] <= t:
             q = self.queue.pop()
             self.ops += 1
@@ -161,8 +106,7 @@ class TwoApproxClustering:
                 self._insert_guess(st, p)
             self.queue.push(p)
             self.ops += 1
-            self._last_arrival = p.t_arr
-        self._track_peak()
+        self.peak_stored = max(self.peak_stored, self.stored_points())
 
     def _insert_guess(self, st: TwoApproxGuessState, p):
         two_g = 2.0 * st.gamma
@@ -175,48 +119,49 @@ class TwoApproxClustering:
         if len(st.clusters) < self.k:
             self._open_cluster(st, p)
         else:
-            st.handles[p.id] = st.unclustered.append(p)
-            self.ops += 1
+            self._leave_unclustered(st, p)
         self._recluster(st)
 
+    def _leave_unclustered(self, st, p):
+        st.unclustered[p.id] = p
+        st.handles[p.id] = None
+        self.ops += 1
+
     def _attach(self, st, cl: _Cluster, p):
-        st.handles[p.id] = cl.members.append(p)
+        cl.members[p.id] = p
+        st.handles[p.id] = cl
         if deletion_key(p) <= deletion_key(cl.center):
             cl.vanishing += 1
         else:
             cl.persistent += 1
         self.ops += 1
 
-    def _detach(self, st, cl: _Cluster, node: _Node):
-        p = node.point
-        cl.members.remove(node)
-        if deletion_key(p) <= deletion_key(cl.center):
-            cl.vanishing -= 1
-        else:
-            cl.persistent -= 1
-        self.ops += 1
-
     def _open_cluster(self, st, p) -> _Cluster:
         cl = _Cluster(p)
         st.clusters.append(cl)
-        st.handles[p.id] = cl.members.append(p)
+        cl.members[p.id] = p
+        st.handles[p.id] = cl
         cl.vanishing += 1  # the center expires no later than itself
         self.ops += 1
         return cl
 
     def _delete_guess(self, st: TwoApproxGuessState, p):
-        node = st.handles.pop(p.id, None)
-        if node is None:
-            raise PointNotFound(f"point {p.id} has no handle for guess {st.gamma}")
-        owner = node.list.owner
-        if owner is None:  # unclustered
-            st.unclustered.remove(node)
+        try:
+            cl = st.handles.pop(p.id)
+        except KeyError:
+            raise PointNotFound(f"point {p.id} has no handle for guess {st.gamma}") from None
+        if cl is None:
+            st.unclustered.remove(p)
             self.ops += 1
             self._recluster(st)
             return
-        cl = owner
         if cl.center.id != p.id:
-            self._detach(st, cl, node)
+            cl.members.remove(p)
+            if deletion_key(p) <= deletion_key(cl.center):
+                cl.vanishing -= 1
+            else:
+                cl.persistent -= 1
+            self.ops += 1
             self._recluster(st)
             return
 
@@ -225,41 +170,35 @@ class TwoApproxClustering:
         # then promote the longest-lived unclustered point, if any.
         i = st.clusters.index(cl)
         self.ops += 1
-        cl.members.remove(node)
+        cl.members.remove(p)
         self.ops += 1
         two_g = 2.0 * st.gamma
-        for x in list(cl.members):
-            xnode = st.handles[x.id]
-            cl.members.remove(xnode)
-            placed = False
+        for x in cl.members:
             for j in range(i + 1, len(st.clusters)):
                 self.ops += 1
                 if self.metric.distance(x, st.clusters[j].center) <= two_g:
                     self._attach(st, st.clusters[j], x)
-                    placed = True
                     break
-            if not placed:
+            else:
                 if len(st.clusters) < self.k:
                     self._open_cluster(st, x)
                 else:
-                    st.handles[x.id] = st.unclustered.append(x)
-                    self.ops += 1
-        st.clusters.remove(cl)
+                    self._leave_unclustered(st, x)
+        del st.clusters[i]
         self.ops += 1
 
-        if st.unclustered.size > 0:
+        if st.unclustered:
             best = None
             for u in st.unclustered:
                 self.ops += 1
                 if best is None or deletion_key(u) > deletion_key(best):
                     best = u
-            unode = st.handles[best.id]
-            st.unclustered.remove(unode)
+            st.unclustered.remove(best)
             new_cl = self._open_cluster(st, best)
             for x in list(st.unclustered):
                 self.ops += 1
                 if self.metric.distance(x, best) <= two_g:
-                    st.unclustered.remove(st.handles[x.id])
+                    st.unclustered.remove(x)
                     self._attach(st, new_cl, x)
         self._recluster(st)
 
@@ -279,7 +218,7 @@ class TwoApproxClustering:
             suf_v += st.clusters[j].vanishing
             suffix[j] = (suf_p, suf_v)
             self.ops += 1
-        u_size = st.unclustered.size
+        u_size = len(st.unclustered)
         for j in range(ell):
             if suffix[j][0] > u_size + suffix[j][1]:
                 trigger = j
@@ -298,7 +237,7 @@ class TwoApproxClustering:
             del st.handles[x.id]
             self.ops += 1
         del st.clusters[trigger:]
-        st.unclustered = _DList(owner=None)
+        st.unclustered = _Points()
 
         two_g = 2.0 * st.gamma
         for _ in range(trigger, self.k):
@@ -320,19 +259,19 @@ class TwoApproxClustering:
                     rest.append(x)
             pool = rest
         for x in pool:
-            st.handles[x.id] = st.unclustered.append(x)
-            self.ops += 1
+            self._leave_unclustered(st, x)
 
     # -- query -------------------------------------------------------------
 
     def query(self, t) -> Solution:
         """Centers of the smallest guess with an empty unclustered set."""
+        self._advance(t)
         key = self.queue.peek_key()
         if key is not None and key[0] <= t:
             self.update(None, t)
         for idx, st in enumerate(self.states):
             self.ops += 1
-            if st.unclustered.size == 0:
+            if not st.unclustered:
                 self._last_query_index = idx
                 centers = [cl.center for cl in st.clusters]
                 return Solution(
@@ -343,9 +282,10 @@ class TwoApproxClustering:
     def witness(self):
         """k+1 points pairwise farther than 2*gamma' apart, for gamma' one
         ladder rung below the guess returned by the last query; None when
-        that guess was already the smallest."""
+        that guess was already the smallest. Only valid until the next
+        update."""
         if self._last_query_index is None:
-            raise ValueError("witness requires a preceding query")
+            raise NoCurrentQuery("witness requires a query since the last update")
         if self._last_query_index == 0:
             return None
         st = self.states[self._last_query_index - 1]
@@ -356,22 +296,4 @@ class TwoApproxClustering:
     # -- instrumentation ----------------------------------------------------
 
     def stored_points(self) -> int:
-        return len(self.queue) + sum(st.stored_count() for st in self.states)
-
-    def _track_peak(self):
-        n = self.stored_points()
-        if n > self.peak_stored:
-            self.peak_stored = n
-
-    def classification(self):
-        """(guess index, point id) -> True when vanishing. Unclustered
-        points are vanishing by definition."""
-        out = {}
-        for gi, st in enumerate(self.states):
-            for cl in st.clusters:
-                ck = deletion_key(cl.center)
-                for x in cl.members:
-                    out[(gi, x.id)] = deletion_key(x) <= ck
-            for x in st.unclustered:
-                out[(gi, x.id)] = True
-        return out
+        return len(self.queue) + sum(len(st.handles) for st in self.states)

@@ -184,3 +184,37 @@ class TestBadInputExitCodes:
                        '{"id": 0, "t_arr": 2, "t_del": 4, "coords": [1.0]}\n')
         assert self._run(out) == 1
         assert "id 0" in capsys.readouterr().err
+
+
+class TestTypedErrors:
+    """Bad parameters and flags an algorithm cannot honour exit 1 with an
+    `error:` line instead of a traceback or a silently ignored flag."""
+
+    RUN = ("--k", "2", "--epsilon", "1.0", "--prescan", "--queries", "every")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--algo", "two", *RUN, "--queries", "at:abc"),
+        ("run", "--algo", "two", "--k", "0", "--epsilon", "1.0", "--prescan"),
+        ("run", "--algo", "six", *RUN, "--no-reclustering"),
+        ("verify", "--algo", "six", *RUN, "--no-reclustering"),
+        ("bench", "--sizes", "10,x"),
+        ("bench", "--sizes", "2", "--kind", "adversarial"),
+        ("bench", "--sizes", "0", "--kind", "random"),
+        ("bench", "--sizes", "16", "--kind", "adversarial", "--algo", "six"),
+        ("bench", "--sizes", "50", "--kind", "random", "--algo", "six",
+         "--no-reclustering"),
+        ("gen", "--kind", "sliding", "--n", "5", "--window", "0"),
+        ("gen", "--kind", "random", "--n", "0"),
+    ], ids=lambda a: " ".join(a[:1] + a[-2:]))
+    def test_exit_1_with_error_line(self, argv, tmp_path, capsys):
+        stream = tmp_path / "s.jsonl"
+        run_cli("gen", "--kind", "random", "--n", "20", "--out", str(stream))
+        capsys.readouterr()
+        argv = list(argv)
+        if argv[0] in ("run", "verify"):
+            argv += ["--stream", str(stream)]
+        elif argv[0] == "gen":
+            argv += ["--out", str(tmp_path / "out.jsonl")]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -1,0 +1,74 @@
+"""The interface both structures share through `LadderClustering`: the
+ladder, typed parameter checks, and a clock that never runs backwards."""
+
+import pytest
+
+from dynkcenter import TimedPoint
+from dynkcenter.core import LadderClustering
+from dynkcenter.errors import InvalidParameter, NonMonotoneArrival, PastTime
+from dynkcenter.runner import ALGORITHMS
+from conftest import line_metric
+
+STRUCTURES = [cls for cls, _ in ALGORITHMS.values()]
+
+
+@pytest.fixture(params=STRUCTURES, ids=list(ALGORITHMS))
+def structure(request):
+    return request.param
+
+
+def test_ladder_uses_epsilon_over_factor(structure):
+    c = structure(1, 1.0, 1, 4, line_metric())
+    assert isinstance(c, LadderClustering)
+    assert c.ladder.beta == 1.0 / structure.FACTOR
+    assert [st.gamma for st in c.states] == list(c.ladder.guesses)
+
+
+def test_k_below_one_rejected(structure):
+    with pytest.raises(InvalidParameter):
+        structure(0, 1.0, 1, 4, line_metric())
+
+
+def test_query_before_last_arrival_raises(structure):
+    c = structure(1, 6.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 3, 10))
+    with pytest.raises(PastTime):
+        c.query(1)
+
+
+def test_query_before_last_query_raises(structure):
+    c = structure(1, 6.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 1, 10))
+    c.query(5)
+    with pytest.raises(PastTime):
+        c.query(4)
+
+
+def test_arrival_before_last_query_raises(structure):
+    c = structure(1, 6.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 1, 10))
+    c.query(5)
+    with pytest.raises(NonMonotoneArrival):
+        c.update(TimedPoint(2, (1.0,), 3, 10))
+    # The rejected arrival changed nothing.
+    assert c.query(5).center_ids == [1]
+
+
+def test_query_and_arrival_at_the_current_time_are_legal(structure):
+    c = structure(1, 6.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 1, 10))
+    assert c.query(1).center_ids == [1]
+    assert c.query(1).center_ids == [1]
+    c.query(4)
+    c.update(TimedPoint(2, (1.0,), 4, 20))
+    assert c.query(4).centers
+
+
+def test_peak_stored_is_readable_on_both(structure):
+    c = structure(1, 6.0, 1, 4, line_metric())
+    assert c.peak_stored == 0
+    c.update(TimedPoint(1, (0.0,), 1, 3))
+    peak = c.peak_stored
+    assert peak >= 1
+    c.query(5)
+    assert c.stored_points() == 0 and c.peak_stored == peak

@@ -1,0 +1,57 @@
+"""The replay runner's one algorithm table and its shared replay loop."""
+
+import dataclasses
+
+import pytest
+
+from dynkcenter import random_lifetime_stream, runner
+from dynkcenter.errors import InvalidParameter
+
+CONFIG = runner.RunConfig(algorithm="two", k=2, epsilon=1.0, d_min=0.05, d_max=2.0)
+
+
+def config(**changes):
+    return dataclasses.replace(CONFIG, **changes)
+
+
+@pytest.mark.parametrize("changes", [
+    {"algorithm": "three"},
+    {"algorithm": "six", "reclustering_enabled": False},
+    {"algorithm": "six", "single_gamma": 1.0},
+], ids=["unknown-algorithm", "six-without-reclustering", "six-single-guess"])
+def test_make_clustering_rejects(changes):
+    gen = random_lifetime_stream(5, 2, 4, seed=0)
+    with pytest.raises(InvalidParameter):
+        runner.make_clustering(config(**changes), gen.metric)
+
+
+def test_single_gamma_builds_one_rung():
+    gen = random_lifetime_stream(5, 2, 4, seed=0)
+    c = runner.make_clustering(
+        config(single_gamma=0.7, reclustering_enabled=False), gen.metric
+    )
+    assert c.ladder.guesses == (0.7,) and not c.reclustering_enabled
+
+
+@pytest.mark.parametrize("algorithm", list(runner.ALGORITHMS))
+def test_bench_replays_without_queries(algorithm):
+    gen = random_lifetime_stream(60, 2, 8, seed=3)
+    cls, _ = runner.ALGORITHMS[algorithm]
+    metric = gen.metric.clone()
+    c = cls(2, 1.0, 0.05, 2.0, metric)
+    for p in gen.stream.points:
+        c.update(p)
+    [row] = runner.bench(lambda n: gen, config(algorithm=algorithm), [60])
+    assert (row["structural_ops"], row["distance_evals"], row["peak_stored"]) == (
+        c.ops, metric.evals, c.peak_stored
+    )
+
+
+def test_end_query_reads_the_final_state():
+    gen = random_lifetime_stream(40, 2, 8, seed=4)
+    end = runner.run(config(queries="end"), gen.stream, gen.metric.clone())
+    every = runner.run(config(queries="every"), gen.stream, gen.metric.clone())
+    assert len(end.rows) == 1
+    assert end.rows[0]["time"] == every.rows[-1]["time"]
+    assert end.rows[0]["radius"] == every.rows[-1]["radius"]
+    assert end.rows[0]["gamma"] == every.rows[-1]["gamma"]

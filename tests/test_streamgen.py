@@ -14,7 +14,7 @@ from dynkcenter import (
     sliding_window_stream,
     validate_stream,
 )
-from dynkcenter.errors import InvalidH
+from dynkcenter.errors import InvalidH, InvalidParameter
 
 
 def naive_measure_h(points):
@@ -111,6 +111,17 @@ class TestAdversarial:
         b = adversarial_quadratic_stream(5, 1.0)
         assert a.stream.points == b.stream.points
         assert np.array_equal(a.metric.table, b.metric.table)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sliding_window_stream(np.zeros((4, 2)), window=0),
+    lambda: random_lifetime_stream(0, 2, 5, seed=1),
+    lambda: random_lifetime_stream(5, 2, 0, seed=1),
+    lambda: adversarial_quadratic_stream(2, 1.0),
+], ids=["sliding-window-0", "random-n-0", "random-max-life-0", "adversarial-n-2"])
+def test_bad_generator_parameters_raise_typed_error(make):
+    with pytest.raises(InvalidParameter):
+        make()
 
 
 class TestMeasureH:

@@ -10,8 +10,11 @@ from dynkcenter import (
 from dynkcenter.audits import VanishingTracker, audit_two_approx
 from dynkcenter.errors import (
     InvalidBeta,
+    InvalidParameter,
     InvariantViolation,
+    NoCurrentQuery,
     NonMonotoneArrival,
+    PastTime,
 )
 from conftest import line_metric, line_points
 
@@ -264,3 +267,40 @@ class TestVanishingMonotonicity:
             for p in gen.stream.points:
                 c.update(p)
                 tracker.observe(c)
+
+
+class TestStaleWitness:
+    def build(self):
+        c = TwoApproxClustering(1, 1.0, 0.5, 10, EuclideanMetric(1))
+        c.update(TimedPoint(1, (0.0,), 1, 10))
+        c.update(TimedPoint(2, (5.0,), 2, 4))
+        return c
+
+    def test_witness_before_any_query(self):
+        with pytest.raises(NoCurrentQuery):
+            self.build().witness()
+
+    def test_witness_after_a_later_update_and_expiry(self):
+        c = self.build()
+        c.query(2)
+        assert sorted(p.id for p in c.witness()) == [1, 2]
+        c.update(TimedPoint(3, (0.5,), 3, 20))
+        with pytest.raises(NoCurrentQuery):
+            c.witness()
+        c.update(None, 5)  # point 2 expires: no unclustered point remains
+        with pytest.raises(NoCurrentQuery):
+            c.witness()
+        c.query(5)
+        assert c.witness() is None
+
+    def test_update_none_needs_a_time(self):
+        with pytest.raises(InvalidParameter):
+            self.build().update(None)
+
+    def test_expiry_only_advance_cannot_go_back(self):
+        c = self.build()
+        c.update(None, 5)
+        with pytest.raises(PastTime):
+            c.update(None, 4)
+        with pytest.raises(PastTime):
+            c.query(1)
