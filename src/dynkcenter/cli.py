@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import core, runner, streamgen
+from . import core, oracle, runner, streamgen
 from .errors import DynKCenterError, InvalidParameter, InvariantViolation
 
 
@@ -47,7 +47,7 @@ def _build_parser():
         p.add_argument("--report", default=None, help="CSV output path")
         p.add_argument("--no-reclustering", action="store_true")
         if oracle_cap:
-            p.add_argument("--oracle-cap", type=int, default=16)
+            p.add_argument("--oracle-cap", type=int, default=oracle.ENUMERATION_CAP)
 
     run_p = sub.add_parser("run", help="replay a stream")
     common(run_p)
@@ -98,8 +98,8 @@ def _int_list(flag, text):
 
 def _cmd_gen(args):
     if args.kind == "sliding":
-        rng = streamgen._rng(args.seed)
-        gen = streamgen.sliding_window_stream(rng.random((args.n, args.dim)), args.window)
+        coords, _ = streamgen.uniform_coords(args.n, args.dim, args.seed)
+        gen = streamgen.sliding_window_stream(coords, args.window)
     elif args.kind == "random":
         gen = streamgen.random_lifetime_stream(args.n, args.dim, args.max_life, args.seed)
     elif args.kind == "hbounded":
@@ -137,7 +137,7 @@ def _cmd_run(args, verify):
         queries=_parse_queries(args.queries),
         verify=verify,
         reclustering_enabled=not args.no_reclustering,
-        oracle_cap=getattr(args, "oracle_cap", 16),
+        oracle_cap=getattr(args, "oracle_cap", oracle.ENUMERATION_CAP),
     )
     report = runner.run(config, stream, metric)
     if args.report:
@@ -203,7 +203,7 @@ def main(argv=None):
     except InvariantViolation as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 2
-    except DynKCenterError as e:
+    except (DynKCenterError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 1

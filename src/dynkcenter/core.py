@@ -14,7 +14,7 @@ import heapq
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,9 +120,15 @@ class EuclideanMetric(Metric):
     def _dist(self, a, b):
         if len(a) != self.dim or len(b) != self.dim:
             raise MetricError("payload dimension mismatch")
-        # Squares by multiplication, as the vectorized `extremes` takes them:
-        # `** 2` goes through libm pow, which can round differently.
-        return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
+        # Squares by multiplication and added left to right from zero, as the
+        # vectorized `extremes` takes them: `** 2` goes through libm pow, and
+        # `sum` compensates float addition from CPython 3.12 on, so either
+        # can round differently.
+        s = 0.0
+        for x, y in zip(a, b):
+            d = x - y
+            s += d * d
+        return math.sqrt(s)
 
     def _extremes(self, points):
         try:
@@ -133,7 +139,7 @@ class EuclideanMetric(Metric):
             raise MetricError("payload dimension mismatch")
 
         def squared(rows, cols):
-            # Squares added column by column from zero, as `_dist`'s sum
+            # Squares added column by column from zero, as `_dist`'s loop
             # adds them, so every distance equals the scalar one bit for
             # bit; sqrt is monotone, so it is taken of the extremes only.
             s = 0.0
@@ -350,7 +356,6 @@ class EventStream:
     points: list
     d_min: float
     d_max: float
-    measured_h: int | None = field(default=None, compare=False)
 
 
 def validate_stream(

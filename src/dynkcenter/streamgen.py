@@ -27,9 +27,14 @@ class GeneratedStream:
     seed: int | None
 
 
-def _rng(seed: int):
+def uniform_coords(n: int, dim: int, seed: int):
+    """(coords, rng): n points drawn uniformly from [0,1]^dim, and the seeded
+    generator they came from, for any further draws."""
+    if n < 1 or dim < 1:
+        raise InvalidParameter(f"need n >= 1 and dim >= 1, got {n} and {dim}")
     # Counter-based generator: the stream is a pure function of the seed.
-    return np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.random((n, dim)), rng
 
 
 def _euclidean_stream(coords, t_arrs, t_dels, declared_h, seed):
@@ -58,10 +63,9 @@ def sliding_window_stream(payloads, window: int) -> GeneratedStream:
 def random_lifetime_stream(n: int, payload_dim: int, max_life: int, seed: int) -> GeneratedStream:
     """Uniform payloads in [0,1]^dim; lifetime of point i drawn uniformly
     from 1..max_life. Same seed, same stream."""
-    if n < 1 or max_life < 1:
-        raise InvalidParameter(f"need n >= 1 and max_life >= 1, got {n} and {max_life}")
-    rng = _rng(seed)
-    coords = rng.random((n, payload_dim))
+    if max_life < 1:
+        raise InvalidParameter(f"need max_life >= 1, got {max_life}")
+    coords, rng = uniform_coords(n, payload_dim, seed)
     lives = rng.integers(1, max_life + 1, size=n)
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [t_arrs[i] + int(lives[i]) for i in range(n)]
@@ -74,8 +78,7 @@ def h_bounded_stream(n: int, h: int, payload_dim: int, seed: int) -> GeneratedSt
     construction."""
     if not (0 <= h < n):
         raise InvalidH(f"need 0 <= h < n, got h={h}, n={n}")
-    rng = _rng(seed)
-    coords = rng.random((n, payload_dim))
+    coords, rng = uniform_coords(n, payload_dim, seed)
     ranks = np.arange(n)
     block = h + 1
     for start in range(0, n, block):

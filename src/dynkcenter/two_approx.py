@@ -7,6 +7,12 @@ insertion-ordered dicts keyed by point id, so they iterate in append order
 and delete in O(1). A global expiry queue drives deletions; a size-balance
 rule triggers suffix reclustering so that reassignment work stays
 amortized O(k) per update.
+
+Two routines do all the placing. `_place` is first-fit: insertion and
+center-deletion reassignment call it. `_open_longest_lived` opens a cluster
+at the longest-lived point of a pool and attaches the pool points within
+2*gamma of it: center-deletion promotion and every reclustering round
+call it.
 """
 
 from __future__ import annotations
@@ -109,18 +115,23 @@ class TwoApproxClustering(LadderClustering):
         self.peak_stored = max(self.peak_stored, self.stored_points())
 
     def _insert_guess(self, st: TwoApproxGuessState, p):
+        self._place(st, p, st.clusters)
+        self._recluster(st)
+
+    def _place(self, st, x, candidates):
+        """First-fit: attach x to the first candidate whose center is within
+        2*gamma; otherwise open a cluster at x while fewer than k exist, or
+        leave x unclustered."""
         two_g = 2.0 * st.gamma
-        for cl in st.clusters:
+        for cl in candidates:
             self.ops += 1
-            if self.metric.distance(p, cl.center) <= two_g:
-                self._attach(st, cl, p)
-                self._recluster(st)
+            if self.metric.distance(x, cl.center) <= two_g:
+                self._attach(st, cl, x)
                 return
         if len(st.clusters) < self.k:
-            self._open_cluster(st, p)
+            self._open_cluster(st, x)
         else:
-            self._leave_unclustered(st, p)
-        self._recluster(st)
+            self._leave_unclustered(st, x)
 
     def _leave_unclustered(self, st, p):
         st.unclustered[p.id] = p
@@ -145,6 +156,25 @@ class TwoApproxClustering(LadderClustering):
         self.ops += 1
         return cl
 
+    def _open_longest_lived(self, st, pool) -> list:
+        """Open a cluster at the pool's longest-lived point (the first one
+        on ties) and attach every other pool point within 2*gamma of it.
+        Returns the points left over, in pool order."""
+        self.ops += len(pool)
+        best = max(pool, key=deletion_key)
+        cl = self._open_cluster(st, best)
+        two_g = 2.0 * st.gamma
+        rest = []
+        for x in pool:
+            if x is best:
+                continue
+            self.ops += 1
+            if self.metric.distance(x, best) <= two_g:
+                self._attach(st, cl, x)
+            else:
+                rest.append(x)
+        return rest
+
     def _delete_guess(self, st: TwoApproxGuessState, p):
         try:
             cl = st.handles.pop(p.id)
@@ -153,76 +183,46 @@ class TwoApproxClustering(LadderClustering):
         if cl is None:
             st.unclustered.remove(p)
             self.ops += 1
-            self._recluster(st)
-            return
-        if cl.center.id != p.id:
+        elif cl.center.id != p.id:
             cl.members.remove(p)
             if deletion_key(p) <= deletion_key(cl.center):
                 cl.vanishing -= 1
             else:
                 cl.persistent -= 1
             self.ops += 1
-            self._recluster(st)
-            return
-
-        # Center deletion: reassign the remaining members to higher-index
-        # clusters (or new clusters / the unclustered set), drop cluster i,
-        # then promote the longest-lived unclustered point, if any.
-        i = st.clusters.index(cl)
-        self.ops += 1
-        cl.members.remove(p)
-        self.ops += 1
-        two_g = 2.0 * st.gamma
-        for x in cl.members:
-            for j in range(i + 1, len(st.clusters)):
-                self.ops += 1
-                if self.metric.distance(x, st.clusters[j].center) <= two_g:
-                    self._attach(st, st.clusters[j], x)
-                    break
-            else:
-                if len(st.clusters) < self.k:
-                    self._open_cluster(st, x)
-                else:
-                    self._leave_unclustered(st, x)
-        del st.clusters[i]
-        self.ops += 1
-
-        if st.unclustered:
-            best = None
-            for u in st.unclustered:
-                self.ops += 1
-                if best is None or deletion_key(u) > deletion_key(best):
-                    best = u
-            st.unclustered.remove(best)
-            new_cl = self._open_cluster(st, best)
-            for x in list(st.unclustered):
-                self.ops += 1
-                if self.metric.distance(x, best) <= two_g:
-                    st.unclustered.remove(x)
-                    self._attach(st, new_cl, x)
+        else:
+            # Center deletion: reassign the remaining members to
+            # higher-index clusters (or new clusters / the unclustered set),
+            # drop cluster i, then promote the longest-lived unclustered
+            # point, if any.
+            i = st.clusters.index(cl)
+            self.ops += 1
+            cl.members.remove(p)
+            self.ops += 1
+            for x in cl.members:
+                self._place(st, x, st.clusters[i + 1 :])
+            del st.clusters[i]
+            self.ops += 1
+            if st.unclustered:
+                rest = self._open_longest_lived(st, st.unclustered)
+                st.unclustered = _Points((x.id, x) for x in rest)
         self._recluster(st)
 
     def _recluster(self, st: TwoApproxGuessState):
         if not self.reclustering_enabled:
             return
-        ell = len(st.clusters)
-        if ell == 0:
-            return
         # Smallest index whose suffix has more persistent than
-        # vanishing-plus-unclustered points.
+        # vanishing-plus-unclustered points: the backward pass meets it last.
+        u_size = len(st.unclustered)
         suf_p = suf_v = 0
         trigger = None
-        suffix = [None] * ell
-        for j in range(ell - 1, -1, -1):
-            suf_p += st.clusters[j].persistent
-            suf_v += st.clusters[j].vanishing
-            suffix[j] = (suf_p, suf_v)
+        for j in range(len(st.clusters) - 1, -1, -1):
+            cl = st.clusters[j]
+            suf_p += cl.persistent
+            suf_v += cl.vanishing
             self.ops += 1
-        u_size = len(st.unclustered)
-        for j in range(ell):
-            if suffix[j][0] > u_size + suffix[j][1]:
+            if suf_p > u_size + suf_v:
                 trigger = j
-                break
         if trigger is None:
             return
 
@@ -239,25 +239,10 @@ class TwoApproxClustering(LadderClustering):
         del st.clusters[trigger:]
         st.unclustered = _Points()
 
-        two_g = 2.0 * st.gamma
         for _ in range(trigger, self.k):
             if not pool:
                 break
-            best = pool[0]
-            for x in pool:
-                self.ops += 1
-                if deletion_key(x) > deletion_key(best):
-                    best = x
-            pool.remove(best)
-            new_cl = self._open_cluster(st, best)
-            rest = []
-            for x in pool:
-                self.ops += 1
-                if self.metric.distance(x, best) <= two_g:
-                    self._attach(st, new_cl, x)
-                else:
-                    rest.append(x)
-            pool = rest
+            pool = self._open_longest_lived(st, pool)
         for x in pool:
             self._leave_unclustered(st, x)
 

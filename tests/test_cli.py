@@ -205,6 +205,9 @@ class TestTypedErrors:
          "--no-reclustering"),
         ("gen", "--kind", "sliding", "--n", "5", "--window", "0"),
         ("gen", "--kind", "random", "--n", "0"),
+        ("gen", "--kind", "sliding", "--n", "-1"),
+        ("gen", "--kind", "random", "--n", "5", "--dim", "-1"),
+        ("run", "--algo", "two", *RUN, "--metric", "matrix:no-such-table.csv"),
     ], ids=lambda a: " ".join(a[:1] + a[-2:]))
     def test_exit_1_with_error_line(self, argv, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"

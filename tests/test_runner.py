@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from dynkcenter import random_lifetime_stream, runner
+from dynkcenter import adversarial_quadratic_stream, random_lifetime_stream, runner
 from dynkcenter.errors import InvalidParameter
 
 CONFIG = runner.RunConfig(algorithm="two", k=2, epsilon=1.0, d_min=0.05, d_max=2.0)
@@ -55,3 +55,19 @@ def test_end_query_reads_the_final_state():
     assert end.rows[0]["time"] == every.rows[-1]["time"]
     assert end.rows[0]["radius"] == every.rows[-1]["radius"]
     assert end.rows[0]["gamma"] == every.rows[-1]["gamma"]
+
+
+ADVERSARIAL = {"d_min": 1.0, "d_max": 1.0, "single_gamma": 1.0}
+
+
+@pytest.mark.parametrize("make, n, changes, expected", [
+    (lambda n: adversarial_quadratic_stream(n, 1.0), 200, ADVERSARIAL, (3174, 639, 402)),
+    (lambda n: adversarial_quadratic_stream(n, 1.0), 200,
+     {**ADVERSARIAL, "reclustering_enabled": False}, (81197, 40000, 402)),
+    (lambda n: random_lifetime_stream(n, 2, 64, 0), 1000, {"k": 3}, (130027, 33269, 480)),
+], ids=["adversarial", "adversarial-no-reclustering", "random"])
+def test_two_approx_counters_are_pinned(make, n, changes, expected):
+    """Exact ops, evals and peak of the (2+eps) structure: a refactor that
+    moves a counter increment or places a point differently shows here."""
+    [row] = runner.bench(make, config(**changes), [n])
+    assert (row["structural_ops"], row["distance_evals"], row["peak_stored"]) == expected
