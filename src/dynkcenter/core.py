@@ -159,10 +159,10 @@ class MatrixMetric(Metric):
     """Explicit n x n distance table.
 
     The constructor checks symmetry, non-negativity, a zero diagonal and
-    (for n <= check_cap) the triangle inequality over all triples.
+    (for n <= PAIRWISE_CHECK_CAP) the triangle inequality over all triples.
     """
 
-    def __init__(self, table, check_cap: int = PAIRWISE_CHECK_CAP):
+    def __init__(self, table):
         super().__init__()
         t = np.asarray(table, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -174,7 +174,7 @@ class MatrixMetric(Metric):
         if (t != t.T).any():
             raise MetricError("asymmetric matrix metric")
         n = t.shape[0]
-        if n <= check_cap:
+        if n <= PAIRWISE_CHECK_CAP:
             for r in range(n):
                 if (t > t[:, r][:, None] + t[r][None, :]).any():
                     raise MetricError(

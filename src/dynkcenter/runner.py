@@ -3,11 +3,12 @@ test suite."""
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from .audits import VanishingTracker, audit_six_approx, audit_two_approx
-from .core import EventStream, GuessLadder, Metric
+from .audits import VanishingTracker, audit_six_approx, audit_six_space, audit_two_approx
+from .core import EventStream, Metric
 from .errors import InvalidParameter, InvariantViolation
 from .oracle import ENUMERATION_CAP, exact_kcenter, radius
 from .six_approx import SixApproxClustering
@@ -36,7 +37,7 @@ class RunConfig:
     epsilon: float
     d_min: float
     d_max: float
-    queries: object = "end"  # "every" | "end" | list of times
+    queries: object = "end"  # "every" | "end" | list of arrival times
     verify: bool = False
     reclustering_enabled: bool = True
     oracle_cap: int = ENUMERATION_CAP
@@ -64,24 +65,15 @@ def _fmt(v):
     return str(v)
 
 
-def _max_concurrent_active(points) -> int:
-    events = sorted((p.t_arr, 1, p.t_del) for p in points)
-    active = []
-    peak = 0
-    for t_arr, _, t_del in events:
-        active = [d for d in active if d > t_arr]
-        active.append(t_del)
-        peak = max(peak, len(active))
-    return peak
-
-
-def _audit_two(clustering, active, t, tracker):
+# `h` is the stream's H; unknown tameness means H = inf, which bounds nothing.
+def _audit_two(clustering, active, t, tracker, h=math.inf):
     audit_two_approx(clustering, active)
     tracker.observe(clustering)
 
 
-def _audit_six(clustering, active, t, tracker):
+def _audit_six(clustering, active, t, tracker, h=math.inf):
     audit_six_approx(clustering, active, t)
+    audit_six_space(clustering, h)
 
 
 # Algorithm name -> (structure class, audit run after every update under
@@ -99,81 +91,74 @@ def make_clustering(config: RunConfig, metric: Metric):
             f"{', '.join(ALGORITHMS)}"
         )
     cls, _ = ALGORITHMS[config.algorithm]
-    options = {}
-    if cls.RECLUSTERS:
-        options["reclustering_enabled"] = config.reclustering_enabled
-    elif not config.reclustering_enabled or config.single_gamma is not None:
-        raise InvalidParameter(
-            f"algorithm {config.algorithm!r} has no reclustering: it takes "
-            "neither reclustering off nor the one-guess adversarial benchmark"
-        )
+    if not cls.RECLUSTERS:
+        if not config.reclustering_enabled or config.single_gamma is not None:
+            raise InvalidParameter(
+                f"algorithm {config.algorithm!r} has no reclustering: it takes "
+                "neither reclustering off nor the one-guess adversarial benchmark"
+            )
+        return cls(config.k, config.epsilon, config.d_min, config.d_max, metric)
     if config.single_gamma is not None:
-        g = config.single_gamma
-        options["ladder"] = GuessLadder(g, g, 1.0, (g,))
-    return cls(config.k, config.epsilon, config.d_min, config.d_max, metric, **options)
+        return cls.single_guess(
+            config.k, config.single_gamma, metric, config.reclustering_enabled, config.epsilon
+        )
+    return cls(config.k, config.epsilon, config.d_min, config.d_max, metric,
+               config.reclustering_enabled)
+
+
+def _query_times(queries, points) -> set:
+    """Every arrival time, the last one ("end"), or the listed arrival times."""
+    arrivals = {p.t_arr for p in points}
+    if queries == "every":
+        return arrivals
+    if queries == "end":
+        return {p.t_arr for p in points[-1:]}
+    missing = sorted(set(queries) - arrivals)
+    if missing:
+        raise InvalidParameter(f"query times {missing} are not arrival times")
+    return set(queries)
 
 
 def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
     """Replay the stream in arrival order, querying per the schedule.
 
-    With verify enabled, the full invariant suite runs after every update
-    and every query's radius is checked against the enumeration oracle; the
-    bound for the approximation ratio is the structure's FACTOR + eps.
+    Under verify the invariant audits (for six with the 3k+3+H space bound)
+    run after every update, at most `oracle_cap` points may be active, and
+    every radius must be within FACTOR + eps of the enumerated optimum.
     """
+    if config.oracle_cap < 1:
+        raise InvalidParameter(f"oracle cap must be >= 1, got {config.oracle_cap}")
     points = sorted(stream.points, key=lambda p: p.t_arr)
-    if config.verify and points:
-        peak = _max_concurrent_active(points)
-        if peak > config.oracle_cap:
-            raise InvariantViolation(
-                "oracle-cap",
-                f"max concurrent active {peak} exceeds cap {config.oracle_cap}",
-            )
+    query_times = _query_times(config.queries, points)
     clustering = make_clustering(config, metric)
     _, audit = ALGORITHMS[config.algorithm]
     oracle_metric = metric.clone()
     ratio_bound = clustering.FACTOR + config.epsilon
-    h = measure_h(stream) if points else 0
+    h = measure_h(stream)
     tracker = VanishingTracker()
     report = RunReport(clustering=clustering)
     started = _time.perf_counter()
 
-    query_times = set()
-    if isinstance(config.queries, (list, tuple)):
-        query_times = set(config.queries)
-
     def do_query(t, active):
         sol = clustering.query(t)
-        rad = oracle_r = ratio = None
-        if active:
-            if sol.centers:
-                rad = radius(oracle_metric, sol.centers, active)
-            if config.verify:
-                opt = exact_kcenter(oracle_metric, active, config.k, config.oracle_cap)
-                oracle_r = opt.radius
-                if oracle_r > 0 and rad is not None:
-                    ratio = rad / oracle_r
-                    if rad > ratio_bound * oracle_r:
-                        raise InvariantViolation(
-                            "approximation-ratio",
-                            f"t={t}: radius {rad} > {ratio_bound} * {oracle_r}; "
-                            f"centers {sol.center_ids}, active "
-                            f"{[x.id for x in active]}",
-                        )
-                elif rad is not None and oracle_r == 0:
-                    ratio = 1.0 if rad == 0 else float("inf")
-                    if rad != 0:
-                        raise InvariantViolation(
-                            "approximation-ratio",
-                            f"t={t}: optimum 0 but returned radius {rad}",
-                        )
-        else:
-            rad = 0.0
+        rad = radius(oracle_metric, sol.centers, active) if active else 0.0
+        opt = ratio = None
+        if config.verify and active:
+            opt = exact_kcenter(oracle_metric, active, config.k, config.oracle_cap).radius
+            # An optimum of 0 is matched only by a radius of 0.
+            ratio = rad / opt if opt > 0 else (1.0 if rad == 0 else math.inf)
+            if rad > ratio_bound * opt:
+                raise InvariantViolation(
+                    "approximation-ratio",
+                    f"t={t}: radius {rad} > {ratio_bound} * {opt}; "
+                    f"centers {sol.center_ids}, active {[x.id for x in active]}",
+                )
         report.rows.append(
             {
                 "time": t,
                 "active_size": len(active),
                 "radius": rad,
-                "oracle_radius": oracle_r,
+                "oracle_radius": opt,
                 "ratio": ratio,
                 "gamma": sol.guess_used,
                 "distance_evals": metric.evals,
@@ -187,20 +172,20 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
     # Arrivals not yet known to have expired; pruned only when an audit or
     # a query reads the active set.
     active = []
-    last = points[-1] if points else None
     for p in points:
         t = p.t_arr
         clustering.update(p)
         active.append(p)
-        query = (
-            config.queries == "every"
-            or t in query_times
-            or (config.queries == "end" and p is last)
-        )
+        query = t in query_times
         if config.verify or query:
-            active[:] = [x for x in active if x.t_del > t]
+            active = [x for x in active if x.t_del > t]
         if config.verify:
-            audit(clustering, active, t, tracker)
+            if len(active) > config.oracle_cap:
+                raise InvariantViolation(
+                    "oracle-cap",
+                    f"t={t}: {len(active)} active points exceed cap {config.oracle_cap}",
+                )
+            audit(clustering, active, t, tracker, h)
         if query:
             do_query(t, active)
     report.wall_time = _time.perf_counter() - started

@@ -58,7 +58,7 @@ class SixApproxClustering(LadderClustering):
     def update(self, p):
         t = p.t_arr
         self._advance(t, p)
-        for st in self.states:
+        for gi, st in enumerate(self.states):
             self._purge(st, t)
             two_g = 2.0 * st.gamma
             within = []
@@ -70,6 +70,8 @@ class SixApproxClustering(LadderClustering):
                 st.attractors.append(_Attractor(p))
                 self.ops += 1
                 self._cleanup(st)
+                # Only a new attractor grows a guess, so only here can its peak rise.
+                self.peak_per_guess[gi] = max(self.peak_per_guess[gi], sum(st.sizes()))
             else:
                 eligible = [
                     a for a in within if deletion_key(a.rep) < deletion_key(p)
@@ -80,7 +82,6 @@ class SixApproxClustering(LadderClustering):
                     a.rep = p  # the displaced representative is dropped
                     self.ops += 1
                 # otherwise p is discarded for this guess
-        self.audit_space()
 
     def _purge(self, st: SixApproxGuessState, t):
         """Drop every stored point with t_del <= t. An expired attractor's

@@ -101,21 +101,15 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
     m = 2 * n
+    blob = slice(1, n)  # indices of the long-lived blob
+    late = slice(n, m)  # indices of the short-lived batch
     table = np.zeros((m, m))
-    blob = range(1, n)  # indices of the long-lived blob
-    late = range(n, m)  # indices of the short-lived batch
-    for i in blob:
-        table[0][i] = table[i][0] = 1.5 * gamma
-        for j in blob:
-            if j > i:
-                table[i][j] = table[j][i] = 0.1 * gamma
-    for i in late:
-        table[0][i] = table[i][0] = 2.5 * gamma
-        for j in late:
-            if j > i:
-                table[i][j] = table[j][i] = 2.5 * gamma
-        for j in blob:
-            table[i][j] = table[j][i] = 1.5 * gamma
+    table[blob, blob] = 0.1 * gamma
+    table[late, late] = 2.5 * gamma
+    table[0, blob] = table[blob, 0] = 1.5 * gamma
+    table[0, late] = table[late, 0] = 2.5 * gamma
+    table[late, blob] = table[blob, late] = 1.5 * gamma
+    np.fill_diagonal(table, 0.0)
     metric = MatrixMetric(table)
     points = []
     for i in range(m):

@@ -87,10 +87,10 @@ class TwoApproxClustering(LadderClustering):
         self._last_query_index = None
 
     @classmethod
-    def single_guess(cls, k, gamma, metric, reclustering_enabled=True):
+    def single_guess(cls, k, gamma, metric, reclustering_enabled=True, epsilon=2.0):
         """One-guess instance, as the adversarial-stream benchmark runs it."""
         ladder = GuessLadder(gamma, gamma, 1.0, (gamma,))
-        return cls(k, 2.0, gamma, gamma, metric, reclustering_enabled, ladder)
+        return cls(k, epsilon, gamma, gamma, metric, reclustering_enabled, ladder)
 
     # -- update ------------------------------------------------------------
 

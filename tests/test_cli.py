@@ -208,6 +208,9 @@ class TestTypedErrors:
         ("gen", "--kind", "sliding", "--n", "-1"),
         ("gen", "--kind", "random", "--n", "5", "--dim", "-1"),
         ("run", "--algo", "two", *RUN, "--metric", "matrix:no-such-table.csv"),
+        ("verify", "--algo", "two", *RUN, "--oracle-cap", "0"),
+        ("run", "--algo", "two", *RUN, "--queries", "at:-5,100"),
+        ("bench", "--sizes", "16", "--kind", "adversarial", "--epsilon", "-1"),
     ], ids=lambda a: " ".join(a[:1] + a[-2:]))
     def test_exit_1_with_error_line(self, argv, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"

@@ -4,8 +4,15 @@ import dataclasses
 
 import pytest
 
-from dynkcenter import adversarial_quadratic_stream, random_lifetime_stream, runner
-from dynkcenter.errors import InvalidParameter
+from dynkcenter import (
+    SixApproxClustering,
+    adversarial_quadratic_stream,
+    random_lifetime_stream,
+    runner,
+    sliding_window_stream,
+)
+from dynkcenter.errors import InvalidParameter, InvariantViolation
+from dynkcenter.streamgen import uniform_coords
 
 CONFIG = runner.RunConfig(algorithm="two", k=2, epsilon=1.0, d_min=0.05, d_max=2.0)
 
@@ -71,3 +78,46 @@ def test_two_approx_counters_are_pinned(make, n, changes, expected):
     moves a counter increment or places a point differently shows here."""
     [row] = runner.bench(make, config(**changes), [n])
     assert (row["structural_ops"], row["distance_evals"], row["peak_stored"]) == expected
+
+
+def test_verify_stops_at_the_oracle_cap():
+    """The cap is checked against the most points ever active at once."""
+    gen = random_lifetime_stream(30, 2, 8, seed=2)
+    pts = gen.stream.points
+    peak = max(sum(q.t_arr <= p.t_arr < q.t_del for q in pts) for p in pts)
+    runner.run(config(verify=True, oracle_cap=peak), gen.stream, gen.metric.clone())
+    with pytest.raises(InvariantViolation) as e:
+        runner.run(config(verify=True, oracle_cap=peak - 1), gen.stream, gen.metric.clone())
+    assert e.value.invariant == "oracle-cap"
+
+
+def test_verify_checks_the_six_space_bound(monkeypatch):
+    """Without eviction a guess of the (6+eps) structure outgrows 3k+3+H
+    points on a 0-ordered stream, and verify says so."""
+    coords, _ = uniform_coords(40, 2, seed=1)
+    gen = sliding_window_stream(coords, window=10)
+    six = config(algorithm="six", verify=True, queries="every",
+                 d_min=gen.stream.d_min, d_max=gen.stream.d_max)
+    runner.run(six, gen.stream, gen.metric.clone())
+    monkeypatch.setattr(SixApproxClustering, "_cleanup", lambda self, st: None)
+    with pytest.raises(InvariantViolation) as e:
+        runner.run(six, gen.stream, gen.metric.clone())
+    assert e.value.invariant == "space-bound"
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: random_lifetime_stream(1000, 2, 64, 0), (282692, 64918, [
+        10, 10, 10, 11, 13, 14, 14, 14, 16, 15, 15, 15, 14,
+        13, 11, 9, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7])),
+    (lambda: sliding_window_stream(uniform_coords(1000, 2, 0)[0], 50), (279278, 66274, [
+        10, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11,
+        9, 9, 7, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3])),
+], ids=["random", "sliding"])
+def test_six_approx_counters_are_pinned(make, expected):
+    """Exact ops, evals and per-guess peak |A|+|R| of the (6+eps)
+    structure, k=3, eps=1, over the same ladder as the (2+eps) pins."""
+    gen = make()
+    metric = gen.metric.clone()
+    report = runner.run(config(algorithm="six", k=3, queries=()), gen.stream, metric)
+    c = report.clustering
+    assert (c.ops, metric.evals, c.peak_per_guess) == expected
