@@ -23,6 +23,11 @@ def audit_two_approx(clustering: TwoApproxClustering, active_points):
     """
     metric = clustering.metric.clone()
     active_ids = {p.id for p in active_points}
+    if len(clustering.queue) != len(active_ids):
+        raise InvariantViolation(
+            "stored-set",
+            f"queue holds {len(clustering.queue)} points, {len(active_ids)} active",
+        )
     for gi, st in enumerate(clustering.states):
         g = st.gamma
         two_g = 2.0 * g
@@ -87,8 +92,9 @@ def audit_two_approx(clustering: TwoApproxClustering, active_points):
                         "balance", f"guess {g}: suffix {j} unbalanced"
                     )
 
-        stored = set(st.handles)
-        if stored != active_ids:
+        stored = [x.id for cl in st.clusters for x in cl.members]
+        stored += [x.id for x in st.unclustered]
+        if len(stored) != len(active_ids) or set(stored) != active_ids:
             raise InvariantViolation(
                 "stored-set",
                 f"guess {g}: stored {sorted(stored)} != active {sorted(active_ids)}",
@@ -176,9 +182,10 @@ def audit_six_approx(clustering: SixApproxClustering, active_points, t):
 def audit_six_space(clustering: SixApproxClustering, h: int):
     """Per-guess storage (current and peak) must stay within 3k+3+H points."""
     bound = 3 * clustering.k + 3 + h
-    clustering.audit_space()
-    for gi, peak in enumerate(clustering.peak_per_guess):
-        if peak > bound:
+    sizes = clustering.audit_space()
+    for gi, ((n_a, n_r), peak) in enumerate(zip(sizes, clustering.peak_per_guess)):
+        if max(n_a + n_r, peak) > bound:
             raise InvariantViolation(
-                "space-bound", f"guess index {gi}: peak |A|+|R| = {peak} > {bound}"
+                "space-bound",
+                f"guess index {gi}: |A|+|R| = {n_a + n_r}, peak {peak} > {bound}",
             )

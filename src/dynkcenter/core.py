@@ -324,11 +324,7 @@ class LadderClustering:
 
 
 class DeletionQueue:
-    """Min-heap over (t_del, t_arr); holds the active inserted points.
-
-    Per-guess handle maps (point id -> owning cluster) live inside the
-    guess states, so a dequeued point's entries are reachable in O(1).
-    """
+    """Min-heap over (t_del, t_arr); holds the active inserted points."""
 
     def __init__(self):
         self._heap = []
@@ -425,6 +421,7 @@ def save_stream_jsonl(points, path):
 
 def load_stream_jsonl(path):
     points = []
+    int_types, number_types = {int}, {int, float}  # a JSON true or false is a bool
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -432,16 +429,24 @@ def load_stream_jsonl(path):
                 continue
             try:
                 row = json.loads(line)
+                pid, t_arr, t_del = ints = row["id"], row["t_arr"], row["t_del"]
+                if not int_types.issuperset(map(type, ints)):  # one test in the usual case
+                    if not number_types.issuperset(map(type, ints)):
+                        raise ValueError(f"id and times {ints} must be numbers")
+                    pid, t_arr, t_del = map(int, ints)
+                    if (pid, t_arr, t_del) != ints:
+                        raise ValueError(f"id and times {ints} must be integers")
                 if "coords" in row:
-                    payload = tuple(float(c) for c in row["coords"])
+                    c = row["coords"]
+                    if type(c) is not list or not number_types.issuperset(map(type, c)):
+                        raise ValueError(f"coords {c!r} is not an array of numbers")
+                    payload = tuple(map(float, c))
                     if not all(map(math.isfinite, payload)):
                         raise ValueError("non-finite coordinate")
                 else:
-                    payload = int(row["id"])
-                point = TimedPoint(
-                    int(row["id"]), payload, int(row["t_arr"]), int(row["t_del"])
-                )
-            except (KeyError, TypeError, ValueError) as e:
+                    payload = pid
+                point = TimedPoint(pid, payload, t_arr, t_del)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
             points.append(point)
     return points

@@ -141,14 +141,8 @@ class SixApproxClustering(LadderClustering):
     # -- instrumentation ----------------------------------------------------
 
     def audit_space(self):
-        """Current (|A|, |R|) per guess; also refreshes the peak tracker."""
-        snap = []
-        for gi, st in enumerate(self.states):
-            n_a, n_r = st.sizes()
-            snap.append((n_a, n_r))
-            if n_a + n_r > self.peak_per_guess[gi]:
-                self.peak_per_guess[gi] = n_a + n_r
-        return snap
+        """Current (|A|, |R|) per guess; read only, as only `update` raises peaks."""
+        return [st.sizes() for st in self.states]
 
     @property
     def peak_stored(self) -> int:

@@ -4,9 +4,10 @@ Per radius guess the structure keeps an ordered list of centers, one
 member set per cluster (the center included), an unclustered set, and
 per-cluster persistent/vanishing counters. Member and unclustered sets are
 insertion-ordered dicts keyed by point id, so they iterate in append order
-and delete in O(1). A global expiry queue drives deletions; a size-balance
-rule triggers suffix reclustering so that reassignment work stays
-amortized O(k) per update.
+and delete in O(1). They are the one record of where a point lives: a
+deletion finds the owner with at most k+1 membership tests. A global expiry
+queue drives deletions; a size-balance rule triggers suffix reclustering so
+that reassignment work stays amortized O(k) per update.
 
 Two routines do all the placing. `_place` is first-fit: insertion and
 center-deletion reassignment call it. `_open_longest_lived` opens a cluster
@@ -49,13 +50,12 @@ class _Cluster:
 class TwoApproxGuessState:
     """Per-guess clustered structure (centers, member sets, unclustered)."""
 
-    __slots__ = ("gamma", "clusters", "unclustered", "handles")
+    __slots__ = ("gamma", "clusters", "unclustered")
 
     def __init__(self, gamma: float):
         self.gamma = gamma
         self.clusters = []
         self.unclustered = _Points()
-        self.handles = {}  # point id -> owning _Cluster, or None for unclustered
 
 
 class TwoApproxClustering(LadderClustering):
@@ -126,7 +126,7 @@ class TwoApproxClustering(LadderClustering):
         for cl in candidates:
             self.ops += 1
             if self.metric.distance(x, cl.center) <= two_g:
-                self._attach(st, cl, x)
+                self._attach(cl, x)
                 return
         if len(st.clusters) < self.k:
             self._open_cluster(st, x)
@@ -135,12 +135,10 @@ class TwoApproxClustering(LadderClustering):
 
     def _leave_unclustered(self, st, p):
         st.unclustered[p.id] = p
-        st.handles[p.id] = None
         self.ops += 1
 
-    def _attach(self, st, cl: _Cluster, p):
+    def _attach(self, cl: _Cluster, p):
         cl.members[p.id] = p
-        st.handles[p.id] = cl
         if deletion_key(p) <= deletion_key(cl.center):
             cl.vanishing += 1
         else:
@@ -151,7 +149,6 @@ class TwoApproxClustering(LadderClustering):
         cl = _Cluster(p)
         st.clusters.append(cl)
         cl.members[p.id] = p
-        st.handles[p.id] = cl
         cl.vanishing += 1  # the center expires no later than itself
         self.ops += 1
         return cl
@@ -170,42 +167,44 @@ class TwoApproxClustering(LadderClustering):
                 continue
             self.ops += 1
             if self.metric.distance(x, best) <= two_g:
-                self._attach(st, cl, x)
+                self._attach(cl, x)
             else:
                 rest.append(x)
         return rest
 
     def _delete_guess(self, st: TwoApproxGuessState, p):
-        try:
-            cl = st.handles.pop(p.id)
-        except KeyError:
-            raise PointNotFound(f"point {p.id} has no handle for guess {st.gamma}") from None
-        if cl is None:
-            st.unclustered.remove(p)
-            self.ops += 1
-        elif cl.center.id != p.id:
-            cl.members.remove(p)
-            if deletion_key(p) <= deletion_key(cl.center):
-                cl.vanishing -= 1
-            else:
-                cl.persistent -= 1
+        # The unclustered set first: it holds most points of the low rungs.
+        if st.unclustered.pop(p.id, None) is not None:
             self.ops += 1
         else:
-            # Center deletion: reassign the remaining members to
-            # higher-index clusters (or new clusters / the unclustered set),
-            # drop cluster i, then promote the longest-lived unclustered
-            # point, if any.
-            i = st.clusters.index(cl)
-            self.ops += 1
-            cl.members.remove(p)
-            self.ops += 1
-            for x in cl.members:
-                self._place(st, x, st.clusters[i + 1 :])
-            del st.clusters[i]
-            self.ops += 1
-            if st.unclustered:
-                rest = self._open_longest_lived(st, st.unclustered)
-                st.unclustered = _Points((x.id, x) for x in rest)
+            for cl in st.clusters:
+                if p.id in cl.members:
+                    break
+            else:
+                raise PointNotFound(f"point {p.id} not stored for guess {st.gamma}")
+            if cl.center.id != p.id:
+                cl.members.remove(p)
+                if deletion_key(p) <= deletion_key(cl.center):
+                    cl.vanishing -= 1
+                else:
+                    cl.persistent -= 1
+                self.ops += 1
+            else:
+                # Center deletion: reassign the remaining members to
+                # higher-index clusters (or new clusters / the unclustered
+                # set), drop cluster i, then promote the longest-lived
+                # unclustered point, if any.
+                i = st.clusters.index(cl)
+                self.ops += 1
+                cl.members.remove(p)
+                self.ops += 1
+                for x in cl.members:
+                    self._place(st, x, st.clusters[i + 1 :])
+                del st.clusters[i]
+                self.ops += 1
+                if st.unclustered:
+                    rest = self._open_longest_lived(st, st.unclustered)
+                    st.unclustered = _Points((x.id, x) for x in rest)
         self._recluster(st)
 
     def _recluster(self, st: TwoApproxGuessState):
@@ -226,16 +225,9 @@ class TwoApproxClustering(LadderClustering):
         if trigger is None:
             return
 
-        pool = []
-        for cl in st.clusters[trigger:]:
-            for x in cl.members:
-                pool.append(x)
-                del st.handles[x.id]
-                self.ops += 1
-        for x in st.unclustered:
-            pool.append(x)
-            del st.handles[x.id]
-            self.ops += 1
+        pool = [x for cl in st.clusters[trigger:] for x in cl.members]
+        pool += st.unclustered
+        self.ops += len(pool)
         del st.clusters[trigger:]
         st.unclustered = _Points()
 
@@ -281,4 +273,5 @@ class TwoApproxClustering(LadderClustering):
     # -- instrumentation ----------------------------------------------------
 
     def stored_points(self) -> int:
-        return len(self.queue) + sum(len(st.handles) for st in self.states)
+        """The queue and every rung each hold the whole active set."""
+        return len(self.queue) * (len(self.states) + 1)

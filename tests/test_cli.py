@@ -224,3 +224,18 @@ class TestTypedErrors:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("algo", ["two", "six"])
+    def test_a_ladder_below_the_data_exits_1(self, algo, tmp_path, capsys):
+        """Bounds go unchecked above PAIRWISE_CHECK_CAP points, so a ladder
+        far below the data's distances fails at the query instead, with
+        NoFeasibleGuess."""
+        stream = tmp_path / "s.jsonl"
+        run_cli("gen", "--kind", "random", "--n", str(core.PAIRWISE_CHECK_CAP + 1),
+                "--out", str(stream))
+        capsys.readouterr()
+        assert run_cli("run", "--algo", algo, "--k", "2", "--epsilon", "1.0",
+                       "--dmin", "0.0001", "--dmax", "0.001",
+                       "--stream", str(stream)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -327,6 +327,18 @@ class TestLoaders:
             '{"id": 0, "t_arr": 1, "t_del": 3, "coords": 5}',
             '{"id": 0, "t_arr": 1',
             "[1, 2, 3]",
+            '{"id": 0, "t_arr": 1.7, "t_del": 3, "coords": [0.0, 0.0]}',
+            '{"id": 2.5, "t_arr": 1, "t_del": 3, "coords": [0.0, 0.0]}',
+            '{"id": 0, "t_arr": true, "t_del": 3, "coords": [0.0, 0.0]}',
+            '{"id": "0", "t_arr": 1, "t_del": 3, "coords": [0.0, 0.0]}',
+            '{"id": 0, "t_arr": 1, "t_del": "3", "coords": [0.0, 0.0]}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": "12"}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": ["1.5", 0.0]}',
+            '{"id": 0, "t_arr": 1, "t_del": 3, "coords": [false, 0.0]}',
+            pytest.param(
+                '{"id": 0, "t_arr": 1, "t_del": 3, "coords": [1' + "0" * 400 + ", 0.0]}",
+                id="coordinate-beyond-float-range",
+            ),
         ],
     )
     def test_bad_stream_line(self, tmp_path, line):

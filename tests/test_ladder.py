@@ -5,7 +5,12 @@ import pytest
 
 from dynkcenter import TimedPoint
 from dynkcenter.core import LadderClustering
-from dynkcenter.errors import InvalidParameter, NonMonotoneArrival, PastTime
+from dynkcenter.errors import (
+    InvalidParameter,
+    NoFeasibleGuess,
+    NonMonotoneArrival,
+    PastTime,
+)
 from dynkcenter.runner import ALGORITHMS
 from conftest import line_metric
 
@@ -72,3 +77,13 @@ def test_peak_stored_is_readable_on_both(structure):
     assert peak >= 1
     c.query(5)
     assert c.stored_points() == 0 and c.peak_stored == peak
+
+
+def test_a_ladder_below_the_data_has_no_feasible_guess(structure):
+    """Bounds (1, 1) give the one rung gamma = 1; three points 10 apart fit
+    no single cluster of radius 2 * gamma."""
+    c = structure(1, 1.0, 1, 1, line_metric())
+    for i, x in enumerate((0.0, 10.0, 20.0), 1):
+        c.update(TimedPoint(i, (x,), i, 100))
+    with pytest.raises(NoFeasibleGuess):
+        c.query(3)

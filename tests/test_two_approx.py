@@ -254,6 +254,20 @@ class TestInvariantSuite:
             audit_two_approx(c, active)
         assert e.value.invariant == "balance"
 
+    def test_lost_member_detected(self):
+        """A member dropped from its cluster, with its counter fixed, is
+        missing from the rung's stored set."""
+        points = [TimedPoint(1, (0.0,), 1, 50), TimedPoint(2, (0.5,), 2, 40)]
+        c = TwoApproxClustering.single_guess(1, 1.0, line_metric())
+        for p in points:
+            c.update(p)
+        cl = c.states[0].clusters[0]
+        cl.members.remove(points[1])
+        cl.vanishing -= 1
+        with pytest.raises(InvariantViolation) as e:
+            audit_two_approx(c, points)
+        assert e.value.invariant == "stored-set"
+
 
 class TestVanishingMonotonicity:
     def test_no_reversion_on_random_streams(self):
