@@ -226,10 +226,8 @@ def _tile_extremes(n: int, block):
 
 @dataclass(frozen=True)
 class GuessLadder:
-    """Geometric set of radius guesses (1+beta)^i covering [d_min, d_max]."""
+    """Geometric set of radius guesses (1+beta)^i; see `build_guess_ladder`."""
 
-    d_min: float
-    d_max: float
     beta: float
     guesses: tuple
 
@@ -265,7 +263,7 @@ def build_guess_ladder(d_min: float, d_max: float, beta: float) -> GuessLadder:
     if base**i_hi < d_max:
         i_hi += 1
     guesses = tuple(base**i for i in range(i_lo, i_hi + 1))
-    return GuessLadder(d_min, d_max, beta, guesses)
+    return GuessLadder(beta, guesses)
 
 
 class LadderClustering:
@@ -310,8 +308,11 @@ class LadderClustering:
 
     def _advance(self, t, p=None):
         """Move the clock to t, first checking that time does not run
-        backwards and that an arrival p comes after the previous one."""
+        backwards and that an arrival p comes at its own time t, after the
+        previous one."""
         if p is not None:
+            if t != p.t_arr:
+                raise InvalidParameter(f"arrival {p.id} at time {t}, not at its t_arr {p.t_arr}")
             if p.t_arr <= self._last_arrival:
                 raise NonMonotoneArrival(f"arrival {p.t_arr} not after {self._last_arrival}")
             if p.t_arr < self._now:

@@ -85,7 +85,7 @@ class TooLargeForEnumeration(DynKCenterError):
 
 
 class PointNotFound(DynKCenterError):
-    """Handle resolution failed; indicates internal structure corruption."""
+    """A point to delete is not stored; indicates internal corruption."""
 
 
 class NoFeasibleGuess(DynKCenterError):

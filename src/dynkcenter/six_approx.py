@@ -119,13 +119,10 @@ class SixApproxClustering(LadderClustering):
 
     def query(self, t) -> Solution:
         """Greedy 2*gamma cover of the representatives, at the smallest
-        feasible guess."""
+        feasible guess; with nothing stored, no centers at the smallest."""
         self._advance(t)
         for st in self.states:
             self._purge(st, t)
-        any_active = any(st.attractors or st.orphans for st in self.states)
-        if not any_active:
-            return Solution([], 0.0, guess_used=self.states[0].gamma)
         for st in self.states:
             self.ops += 1
             if len(st.attractors) > self.k:

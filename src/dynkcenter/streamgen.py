@@ -24,7 +24,6 @@ class GeneratedStream:
     stream: EventStream
     metric: Metric
     declared_h: int | None
-    seed: int | None
 
 
 def uniform_coords(n: int, dim: int, seed: int):
@@ -37,7 +36,7 @@ def uniform_coords(n: int, dim: int, seed: int):
     return rng.random((n, dim)), rng
 
 
-def _euclidean_stream(coords, t_arrs, t_dels, declared_h, seed):
+def _euclidean_stream(coords, t_arrs, t_dels, declared_h):
     coords = np.asarray(coords, dtype=float)
     points = [
         TimedPoint(i, tuple(coords[i]), int(t_arrs[i]), int(t_dels[i]))
@@ -46,7 +45,7 @@ def _euclidean_stream(coords, t_arrs, t_dels, declared_h, seed):
     metric = EuclideanMetric(coords.shape[1])
     # Bounds on a clone: the returned metric's counter starts at zero.
     d_min, d_max = metric.clone().extremes(points) if len(points) >= 2 else (1.0, 1.0)
-    return GeneratedStream(EventStream(points, d_min, d_max), metric, declared_h, seed)
+    return GeneratedStream(EventStream(points, d_min, d_max), metric, declared_h)
 
 
 def sliding_window_stream(payloads, window: int) -> GeneratedStream:
@@ -57,7 +56,7 @@ def sliding_window_stream(payloads, window: int) -> GeneratedStream:
     n = len(payloads)
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [i + 1 + window for i in range(n)]
-    return _euclidean_stream(payloads, t_arrs, t_dels, declared_h=0, seed=None)
+    return _euclidean_stream(payloads, t_arrs, t_dels, declared_h=0)
 
 
 def random_lifetime_stream(n: int, payload_dim: int, max_life: int, seed: int) -> GeneratedStream:
@@ -69,7 +68,7 @@ def random_lifetime_stream(n: int, payload_dim: int, max_life: int, seed: int) -
     lives = rng.integers(1, max_life + 1, size=n)
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [t_arrs[i] + int(lives[i]) for i in range(n)]
-    return _euclidean_stream(coords, t_arrs, t_dels, declared_h=None, seed=seed)
+    return _euclidean_stream(coords, t_arrs, t_dels, declared_h=None)
 
 
 def h_bounded_stream(n: int, h: int, payload_dim: int, seed: int) -> GeneratedStream:
@@ -86,7 +85,7 @@ def h_bounded_stream(n: int, h: int, payload_dim: int, seed: int) -> GeneratedSt
         ranks[start:stop] = rng.permutation(ranks[start:stop])
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [n + 2 + int(ranks[i]) for i in range(n)]
-    return _euclidean_stream(coords, t_arrs, t_dels, declared_h=h, seed=seed)
+    return _euclidean_stream(coords, t_arrs, t_dels, declared_h=h)
 
 
 def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
@@ -122,7 +121,7 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
             t_del = t_arr + 2
         points.append(TimedPoint(i, i, t_arr, t_del))
     stream = EventStream(points, 0.1 * gamma, 2.5 * gamma)
-    return GeneratedStream(stream, metric, declared_h=None, seed=None)
+    return GeneratedStream(stream, metric, declared_h=None)
 
 
 def measure_h(stream: EventStream) -> int:

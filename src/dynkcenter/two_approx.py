@@ -61,9 +61,9 @@ class TwoApproxGuessState:
 class TwoApproxClustering(LadderClustering):
     """Dynamic clustering over the full guess ladder.
 
-    ``update(p)`` handles one arrival (after flushing due expiries);
-    ``update(None, t)`` flushes expiries only. ``query(t)`` returns the
-    centers of the smallest guess whose unclustered set is empty.
+    ``update(p)`` flushes due expiries, then handles one arrival at its own
+    time; ``update(None, t)`` and ``query(t)`` flush them too. A query then
+    returns the centers of the smallest guess with no unclustered point.
     """
 
     FACTOR = 2.0
@@ -89,7 +89,7 @@ class TwoApproxClustering(LadderClustering):
     @classmethod
     def single_guess(cls, k, gamma, metric, reclustering_enabled=True, epsilon=2.0):
         """One-guess instance, as the adversarial-stream benchmark runs it."""
-        ladder = GuessLadder(gamma, gamma, 1.0, (gamma,))
+        ladder = GuessLadder(1.0, (gamma,))
         return cls(k, epsilon, gamma, gamma, metric, reclustering_enabled, ladder)
 
     # -- update ------------------------------------------------------------
@@ -102,21 +102,25 @@ class TwoApproxClustering(LadderClustering):
             raise InvalidParameter("update(None) needs an explicit time")
         self._advance(t, p)
         self._last_query_index = None
-        while len(self.queue) and self.queue.peek_key()[0] <= t:
+        self._expire(t)
+        if p is not None:
+            for st in self.states:
+                self._place(st, p, st.clusters)
+                self._recluster(st)
+            self.queue.push(p)
+            self.ops += 1
+            # Only an arrival grows the stored set, so only here can the peak rise.
+            self.peak_stored = max(self.peak_stored, self.stored_points())
+
+    def _expire(self, t):
+        """Delete every stored point with t_del <= t, on every rung."""
+        key = self.queue.peek_key()
+        while key is not None and key[0] <= t:
             q = self.queue.pop()
             self.ops += 1
             for st in self.states:
                 self._delete_guess(st, q)
-        if p is not None:
-            for st in self.states:
-                self._insert_guess(st, p)
-            self.queue.push(p)
-            self.ops += 1
-        self.peak_stored = max(self.peak_stored, self.stored_points())
-
-    def _insert_guess(self, st: TwoApproxGuessState, p):
-        self._place(st, p, st.clusters)
-        self._recluster(st)
+            key = self.queue.peek_key()
 
     def _place(self, st, x, candidates):
         """First-fit: attach x to the first candidate whose center is within
@@ -148,9 +152,7 @@ class TwoApproxClustering(LadderClustering):
     def _open_cluster(self, st, p) -> _Cluster:
         cl = _Cluster(p)
         st.clusters.append(cl)
-        cl.members[p.id] = p
-        cl.vanishing += 1  # the center expires no later than itself
-        self.ops += 1
+        self._attach(cl, p)  # the center expires no later than itself: vanishing
         return cl
 
     def _open_longest_lived(self, st, pool) -> list:
@@ -243,9 +245,8 @@ class TwoApproxClustering(LadderClustering):
     def query(self, t) -> Solution:
         """Centers of the smallest guess with an empty unclustered set."""
         self._advance(t)
-        key = self.queue.peek_key()
-        if key is not None and key[0] <= t:
-            self.update(None, t)
+        self._last_query_index = None
+        self._expire(t)
         for idx, st in enumerate(self.states):
             self.ops += 1
             if not st.unclustered:

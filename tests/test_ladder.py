@@ -87,3 +87,15 @@ def test_a_ladder_below_the_data_has_no_feasible_guess(structure):
         c.update(TimedPoint(i, (x,), i, 100))
     with pytest.raises(NoFeasibleGuess):
         c.query(3)
+
+
+def test_an_empty_structure_answers_no_centers_for_one_op(structure):
+    c = structure(1, 6.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 1, 3))
+    c.update(TimedPoint(2, (1.0,), 2, 4))
+    c.query(5)  # both points have expired
+    ops = c.ops
+    sol = c.query(6)
+    assert sol.centers == [] and sol.radius == 0.0
+    assert sol.guess_used == c.states[0].gamma
+    assert c.ops == ops + 1  # the smallest rung is the only one scanned

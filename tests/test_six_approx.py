@@ -9,6 +9,7 @@ from dynkcenter import (
 )
 from dynkcenter.audits import audit_six_approx, audit_six_space
 from dynkcenter.errors import InvalidBeta, InvariantViolation, NonMonotoneArrival
+from dynkcenter.streamgen import uniform_coords
 from conftest import line_metric
 
 
@@ -145,3 +146,32 @@ class TestAuditsAndSpace:
         assert c.audit_space() == [(0, 0)] * 3
         c.update(TimedPoint(1, (0.0,), 1, 10))
         assert c.audit_space() == [(1, 1)] * 3
+
+
+TAME_STREAMS = {
+    "h0": lambda n: h_bounded_stream(n, 0, 2, 1),
+    "h16": lambda n: h_bounded_stream(n, 16, 2, 1),
+    "sliding100": lambda n: sliding_window_stream(uniform_coords(n, 2, 1)[0], window=100),
+}
+
+
+class TestWorstCaseUpdate:
+    """On tame streams one update's work is bounded per rung, whatever the
+    stream's length: the most ops a single update takes, divided by the
+    rung count, must not grow from n=500 to n=2000."""
+
+    @staticmethod
+    def max_ops_per_rung(gen):
+        c = SixApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, gen.metric.clone())
+        worst = 0
+        for p in gen.stream.points:
+            before = c.ops
+            c.update(p)
+            worst = max(worst, c.ops - before)
+        return worst / len(c.states)
+
+    @pytest.mark.parametrize("name", TAME_STREAMS)
+    def test_max_ops_per_rung_does_not_grow_with_n(self, name):
+        make = TAME_STREAMS[name]
+        small, large = (self.max_ops_per_rung(make(n)) for n in (500, 2000))
+        assert large <= 1.15 * small

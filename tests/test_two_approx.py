@@ -13,6 +13,7 @@ from dynkcenter.errors import (
     InvalidParameter,
     InvariantViolation,
     NoCurrentQuery,
+    NoFeasibleGuess,
     NonMonotoneArrival,
     PastTime,
 )
@@ -99,6 +100,30 @@ class TestUpdateTrace:
         c.update(p1)
         with pytest.raises(NonMonotoneArrival):
             c.update(TimedPoint(3, (1.0,), 1, 30))
+
+
+class TestArrivalAtItsOwnTime:
+    """Only the passing of time deletes points, so an arrival comes at its
+    own t_arr and any other time is rejected before anything changes."""
+
+    def test_an_arrival_after_its_deletion_is_rejected(self):
+        c = TwoApproxClustering(1, 2.0, 1, 4, line_metric())
+        with pytest.raises(InvalidParameter):
+            c.update(TimedPoint(1, (0.0,), 1, 3), t=50)
+        assert c.stored_points() == 0 and c.peak_stored == 0
+        audit_two_approx(c, [])
+
+    def test_an_arrival_before_its_time_is_rejected(self):
+        c = TwoApproxClustering(1, 2.0, 1, 4, line_metric())
+        with pytest.raises(InvalidParameter):
+            c.update(TimedPoint(1, (0.0,), 5, 30), t=2)
+        assert c.query(3).centers == []
+
+    def test_an_arrival_at_its_own_time_is_accepted(self):
+        c = TwoApproxClustering(1, 2.0, 1, 4, line_metric())
+        p = TimedPoint(1, (0.0,), 5, 30)
+        c.update(p, p.t_arr)
+        assert c.query(5).center_ids == [1]
 
 
 class TestQueryAndWitness:
@@ -318,3 +343,19 @@ class TestStaleWitness:
             c.update(None, 4)
         with pytest.raises(PastTime):
             c.query(1)
+
+    def test_a_failed_query_leaves_no_witness(self):
+        """At t=9 points 2 and 3 expire, the persistent members outnumber
+        the vanishing ones, and reclustering reopens the one cluster at the
+        longest-lived point 4 (x=-2): point 5 (x=2) is left unclustered at
+        the only rung, gamma = 1."""
+        c = TwoApproxClustering(1, 1.0, 1, 1, line_metric())
+        for i, (x, t_del) in enumerate(
+            [(0.0, 20), (0.5, 8), (-0.5, 9), (-2.0, 50), (2.0, 40)], 1
+        ):
+            c.update(TimedPoint(i, (x,), i, t_del))
+        assert c.query(5).center_ids == [1]
+        with pytest.raises(NoFeasibleGuess):
+            c.query(9)
+        with pytest.raises(NoCurrentQuery):
+            c.witness()
