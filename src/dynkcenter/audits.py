@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import deletion_key
 from .errors import InvariantViolation
-from .six_approx import SixApproxClustering
+from .six_approx import UPDATE_OPS_FACTOR, SixApproxClustering
 from .two_approx import TwoApproxClustering
 
 
@@ -189,3 +189,15 @@ def audit_six_space(clustering: SixApproxClustering, h: int):
                 "space-bound",
                 f"guess index {gi}: |A|+|R| = {n_a + n_r}, peak {peak} > {bound}",
             )
+
+
+def audit_six_update(clustering: SixApproxClustering, h: int):
+    """The latest update's ops must stay within UPDATE_OPS_FACTOR * (3k+3+H)
+    per rung, the worst-case bound derived in `six_approx`."""
+    bound = len(clustering.states) * UPDATE_OPS_FACTOR * (3 * clustering.k + 3 + h)
+    if clustering.update_ops > bound:
+        raise InvariantViolation(
+            "update-bound",
+            f"{clustering.update_ops} ops in one update > {bound} "
+            f"({len(clustering.states)} rungs, k={clustering.k}, H={h})",
+        )

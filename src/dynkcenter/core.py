@@ -273,8 +273,9 @@ class LadderClustering:
     the smallest feasible guess gamma, hence the FACTOR + epsilon ratio.
 
     A subclass sets FACTOR and State (its per-guess state, built from
-    gamma) and provides ``update(p)``, ``query(t)``, ``stored_points()``
-    and ``peak_stored``. RECLUSTERS says whether it has the size-balance
+    gamma) and provides ``_update(p, t)``, ``query(t)``, ``stored_points()``
+    and ``peak_stored``; (2+eps) still overrides ``update`` whole, with the
+    same argument handling. RECLUSTERS says whether it has the size-balance
     reclustering that ``reclustering_enabled`` switches.
     """
 
@@ -305,6 +306,18 @@ class LadderClustering:
         self.ops = 0  # structural operation counter
         self._last_arrival = -math.inf
         self._now = -math.inf  # latest time seen by update or query
+
+    def update(self, p=None, t=None):
+        """``update(p)`` or ``update(p, p.t_arr)`` takes one arrival at its
+        own time; ``update(None, t)`` only advances the clock to t, dropping
+        what has expired. ``update(None)`` raises InvalidParameter."""
+        if p is not None:
+            if t is None:
+                t = p.t_arr
+        elif t is None:
+            raise InvalidParameter("update(None) needs an explicit time")
+        self._advance(t, p)
+        self._update(p, t)
 
     def _advance(self, t, p=None):
         """Move the clock to t, first checking that time does not run

@@ -7,7 +7,13 @@ import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from .audits import VanishingTracker, audit_six_approx, audit_six_space, audit_two_approx
+from .audits import (
+    VanishingTracker,
+    audit_six_approx,
+    audit_six_space,
+    audit_six_update,
+    audit_two_approx,
+)
 from .core import EventStream, Metric
 from .errors import InvalidParameter, InvariantViolation
 from .oracle import ENUMERATION_CAP, exact_kcenter, radius
@@ -74,6 +80,7 @@ def _audit_two(clustering, active, t, tracker, h=math.inf):
 def _audit_six(clustering, active, t, tracker, h=math.inf):
     audit_six_approx(clustering, active, t)
     audit_six_space(clustering, h)
+    audit_six_update(clustering, h)
 
 
 # Algorithm name -> (structure class, audit run after every update under
@@ -122,9 +129,10 @@ def _query_times(queries, points) -> set:
 def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
     """Replay the stream in arrival order, querying per the schedule.
 
-    Under verify the invariant audits (for six with the 3k+3+H space bound)
-    run after every update, at most `oracle_cap` points may be active, and
-    every radius must be within FACTOR + eps of the enumerated optimum.
+    Under verify the invariant audits (for six with the 3k+3+H space bound
+    and the per-update op bound) run after every update, at most
+    `oracle_cap` points may be active, and every radius must be within
+    FACTOR + eps of the enumerated optimum.
     """
     if config.oracle_cap < 1:
         raise InvalidParameter(f"oracle cap must be >= 1, got {config.oracle_cap}")

@@ -4,21 +4,49 @@ Per radius guess the structure stores at most k+1 pairwise-separated
 attractors, one representative per attractor (the longest-lived point it
 has attracted), and orphaned representatives whose attractors were evicted
 or expired. Queries greedily cover the representative set.
+
+Neighbouring rungs whose states are equal share one: their entries in
+`states` keep their own gamma but hold the same attractor list and orphan
+dict. A rung's next state depends only on its state, the update and the
+outcomes of its tests d(a, p) <= 2*gamma, and an arrival's tests are known
+before it is applied. So an update is applied once per group of rungs that
+share a state. Before an arrival, a group splits, on copies of its state,
+at each rung where one of the arrival's distances changes a test's
+outcome; after it, neighbouring groups whose states are equal again merge.
+Counters keep their per-rung meaning: a group of m rungs counts m ops per
+operation and m evaluations per distance it computes once.
+
+``update(p)`` takes one arrival at its own time, and ``update(None, t)``
+only drops what has expired by t; see `LadderClustering.update`.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 from .core import GuessLadder, LadderClustering, Metric, deletion_key
-from .errors import NoFeasibleGuess
+from .errors import InvalidParameter, NoFeasibleGuess
 from .oracle import Solution, greedy_cover
+
+# One update does at most UPDATE_OPS_FACTOR * (3k+3+H) ops per rung on an
+# H-ordered stream. With B = 3k+3+H, the space bound on |A|+|R| before the
+# update, and |A| <= k+1 between updates:
+#   _purge        one op per attractor and per orphan left:    <= B
+#   insert scan   |A| tests, then |within| + 1 for a new rep:  <= 2k+3
+#                 or 1 for a new attractor:                    <= k+2
+#   _cleanup      only after a new attractor, so |A|+|R| <= B+1:
+#                 eviction (k+1)+1, then orphan drop |A|+|R|:  <= B+k+3
+# which sums to at most 2B+2k+5 <= 3B+2 <= 4B, as B >= 3k+3 >= 6.
+UPDATE_OPS_FACTOR = 4
 
 
 class _Attractor:
     __slots__ = ("point", "rep")
 
-    def __init__(self, point):
+    def __init__(self, point, rep=None):
         self.point = point
-        self.rep = point  # a new attractor represents itself
+        self.rep = point if rep is None else rep  # a new attractor represents itself
 
 
 class SixApproxGuessState:
@@ -37,6 +65,19 @@ class SixApproxGuessState:
         return len(self.attractors), len(self.attractors) + len(self.orphans)
 
 
+def _same(a: SixApproxGuessState, b: SixApproxGuessState) -> bool:
+    """Equal states: the same attractors with the same representatives, in
+    order, and the same orphans. Orphan order is never observable."""
+    return (
+        len(a.attractors) == len(b.attractors)
+        and a.orphans.keys() == b.orphans.keys()
+        and all(
+            x.point.id == y.point.id and x.rep.id == y.rep.id
+            for x, y in zip(a.attractors, b.attractors)
+        )
+    )
+
+
 class SixApproxClustering(LadderClustering):
     FACTOR = 6.0
     State = SixApproxGuessState
@@ -52,40 +93,127 @@ class SixApproxClustering(LadderClustering):
     ):
         super().__init__(k, epsilon, d_min, d_max, metric, ladder)
         self.peak_per_guess = [0] * len(self.states)
+        self.update_ops = 0  # ops of the latest update
+        # No stored point expires before this time; see `_expire`.
+        self._next_expiry = math.inf
+        self._two_g = [2.0 * st.gamma for st in self.states]
+        if any(a > b for a, b in zip(self._two_g, self._two_g[1:])):
+            raise InvalidParameter("the ladder's guesses must not decrease")
+        # [lo, hi) rung ranges, in order, each sharing one state; all start empty.
+        self._groups = [(0, len(self.states))]
+        self._share(0, len(self.states), self.states[0])
+
+    def _share(self, lo, hi, st):
+        """Point rungs [lo, hi) at st's attractor list and orphan dict."""
+        for rung in self.states[lo:hi]:
+            rung.attractors, rung.orphans = st.attractors, st.orphans
 
     # -- update ------------------------------------------------------------
 
-    def update(self, p):
-        t = p.t_arr
-        self._advance(t, p)
-        for gi, st in enumerate(self.states):
+    def _update(self, p, t):
+        ops = self.ops
+        self._expire(t)
+        if p is not None:
+            groups = []
+            memo = {}  # attractor id -> its distance to p, one call each
+            for lo, hi in self._groups:
+                groups += self._arrive(lo, hi, p, memo)
+            # `_arrive` counted every rung's tests, `distance` each call again.
+            self.metric.evals -= len(memo)
+            self._groups = self._merged(groups)
+        self.update_ops = self.ops - ops
+
+    def _expire(self, t):
+        """Purge each group once, counting its ops once per rung. Before
+        `_next_expiry` a purge would drop nothing, so it is only counted."""
+        if t < self._next_expiry:
+            for lo, hi in self._groups:
+                st = self.states[lo]
+                self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
+            return
+        nxt = math.inf
+        for lo, hi in self._groups:
+            st = self.states[lo]
+            ops = self.ops
             self._purge(st, t)
-            two_g = 2.0 * st.gamma
-            within = []
-            for a in st.attractors:
-                self.ops += 1
-                if self.metric.distance(a.point, p) <= two_g:
-                    within.append(a)
-            if not within:
-                st.attractors.append(_Attractor(p))
-                self.ops += 1
-                self._cleanup(st)
-                # Only a new attractor grows a guess, so only here can its peak rise.
-                self.peak_per_guess[gi] = max(self.peak_per_guess[gi], sum(st.sizes()))
+            self.ops += (hi - lo - 1) * (self.ops - ops)
+            # A representative expires no earlier than its attractor.
+            nxt = min([nxt, *(a.point.t_del for a in st.attractors),
+                       *(q.t_del for q in st.orphans.values())])
+        self._next_expiry = nxt
+
+    def _arrive(self, lo, hi, p, memo):
+        """Apply arrival p to the rungs [lo, hi), which share one state, and
+        return the ranges that share a state afterwards."""
+        st = self.states[lo]
+        dists = []
+        for a in st.attractors:
+            d = memo.get(a.point.id)
+            if d is None:
+                d = memo[a.point.id] = self.metric.distance(a.point, p)
+            dists.append(d)
+        self.metric.evals += (hi - lo) * len(dists)
+        # Rung i tests d <= 2*gamma_i, so a test's outcome changes at the
+        # first rung whose 2*gamma is at least d.
+        cuts = {bisect_left(self._two_g, d, lo, hi) for d in dists} if hi - lo > 1 else ()
+        bounds = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+        # Copies come from the state as purged, before the arrival changes it.
+        for s, e in zip(bounds[1:-1], bounds[2:]):
+            part = self.states[s]
+            part.attractors = [_Attractor(a.point, a.rep) for a in st.attractors]
+            part.orphans = dict(st.orphans)
+            self._share(s + 1, e, part)
+        for s, e in zip(bounds, bounds[1:]):
+            self._insert(s, e, p, dists)
+        return list(zip(bounds, bounds[1:]))
+
+    def _insert(self, lo, hi, p, dists):
+        """Insert p into the state of rungs [lo, hi), whose tests against
+        the attractors, at `dists`, all have the same outcomes."""
+        st = self.states[lo]
+        m = hi - lo
+        two_g = self._two_g[lo]
+        within = [a for a, d in zip(st.attractors, dists) if d <= two_g]
+        self.ops += m * len(dists)
+        if not within:
+            st.attractors.append(_Attractor(p))
+            self._next_expiry = min(self._next_expiry, p.t_del)
+            self.ops += m
+            ops = self.ops
+            self._cleanup(st)
+            self.ops += (m - 1) * (self.ops - ops)
+            # Only a new attractor grows a guess, so only here can its peak rise.
+            size = sum(st.sizes())
+            peaks = self.peak_per_guess
+            for i in range(lo, hi):
+                if peaks[i] < size:
+                    peaks[i] = size
+        else:
+            eligible = [a for a in within if deletion_key(a.rep) < deletion_key(p)]
+            self.ops += m * len(within)
+            if eligible:
+                a = min(eligible, key=lambda e: e.point.id)
+                a.rep = p  # the displaced representative is dropped
+                self.ops += m
+            # otherwise p is discarded for these guesses
+
+    def _merged(self, groups):
+        """`groups` with each run of neighbours whose states are equal made
+        one group."""
+        out = [groups[0]]
+        for lo, hi in groups[1:]:
+            first = out[-1][0]
+            if _same(self.states[first], self.states[lo]):
+                self._share(lo, hi, self.states[first])
+                out[-1] = (first, hi)
             else:
-                eligible = [
-                    a for a in within if deletion_key(a.rep) < deletion_key(p)
-                ]
-                self.ops += len(within)
-                if eligible:
-                    a = min(eligible, key=lambda e: e.point.id)
-                    a.rep = p  # the displaced representative is dropped
-                    self.ops += 1
-                # otherwise p is discarded for this guess
+                out.append((lo, hi))
+        return out
 
     def _purge(self, st: SixApproxGuessState, t):
         """Drop every stored point with t_del <= t. An expired attractor's
-        surviving representative becomes an orphan."""
+        surviving representative becomes an orphan. Filters in place, as
+        the containers may be shared."""
         keep = []
         for a in st.attractors:
             self.ops += 1
@@ -94,7 +222,8 @@ class SixApproxClustering(LadderClustering):
                     st.orphans[a.rep.id] = a.rep
             else:
                 keep.append(a)
-        st.attractors = keep
+        if len(keep) < len(st.attractors):
+            st.attractors[:] = keep
         expired = [pid for pid, q in st.orphans.items() if q.t_del <= t]
         self.ops += len(st.orphans)
         for pid in expired:
@@ -121,18 +250,19 @@ class SixApproxClustering(LadderClustering):
         """Greedy 2*gamma cover of the representatives, at the smallest
         feasible guess; with nothing stored, no centers at the smallest."""
         self._advance(t)
-        for st in self.states:
-            self._purge(st, t)
-        for st in self.states:
-            self.ops += 1
+        self._expire(t)
+        for lo, hi in self._groups:
+            st = self.states[lo]
             if len(st.attractors) > self.k:
+                self.ops += hi - lo
                 continue
             reps = sorted(st.reps(), key=lambda q: q.id)
-            sol = greedy_cover(self.metric, reps, 2.0 * st.gamma, self.k)
-            self.ops += len(reps)
-            if sol is not None:
-                sol.guess_used = st.gamma
-                return sol
+            for rung in self.states[lo:hi]:
+                sol = greedy_cover(self.metric, reps, 2.0 * rung.gamma, self.k)
+                self.ops += 1 + len(reps)
+                if sol is not None:
+                    sol.guess_used = rung.gamma
+                    return sol
         raise NoFeasibleGuess("no guess admits a k-cover of its representatives")
 
     # -- instrumentation ----------------------------------------------------
@@ -147,4 +277,4 @@ class SixApproxClustering(LadderClustering):
         return max(self.peak_per_guess, default=0)
 
     def stored_points(self) -> int:
-        return sum(a + r for a, r in (st.sizes() for st in self.states))
+        return sum((hi - lo) * sum(self.states[lo].sizes()) for lo, hi in self._groups)

@@ -99,3 +99,23 @@ def test_an_empty_structure_answers_no_centers_for_one_op(structure):
     assert sol.centers == [] and sol.radius == 0.0
     assert sol.guess_used == c.states[0].gamma
     assert c.ops == ops + 1  # the smallest rung is the only one scanned
+
+
+def test_update_takes_one_signature(structure):
+    """`update(p)` and `update(p, p.t_arr)` take an arrival, `update(None, t)`
+    only expires, and `update(None)` or an arrival at another time is a
+    typed error."""
+    c = structure(1, 6.0, 1, 4, line_metric())
+    with pytest.raises(InvalidParameter):
+        c.update(None)
+    p1 = TimedPoint(1, (0.0,), 1, 3)
+    c.update(p1, p1.t_arr)
+    with pytest.raises(InvalidParameter):
+        c.update(TimedPoint(2, (1.0,), 2, 9), 5)
+    c.update(TimedPoint(2, (1.0,), 2, 9))
+    c.update(None, 5)  # point 1 expires
+    assert c.query(5).center_ids == [2]
+    c.update(None, 9)  # point 2 expires
+    assert c.stored_points() == 0
+    with pytest.raises(PastTime):
+        c.update(None, 8)

@@ -121,3 +121,23 @@ def test_six_approx_counters_are_pinned(make, expected):
     report = runner.run(config(algorithm="six", k=3, queries=()), gen.stream, metric)
     c = report.clustering
     assert (c.ops, metric.evals, c.peak_per_guess) == expected
+
+
+def test_verify_checks_the_six_update_bound(monkeypatch):
+    """A cleanup that walks every guess's storage instead of its own keeps
+    the space bound but breaks the per-update op bound, and verify says so."""
+    coords, _ = uniform_coords(40, 2, seed=1)
+    gen = sliding_window_stream(coords, window=10)
+    six = config(algorithm="six", verify=True, queries="every",
+                 d_min=gen.stream.d_min, d_max=gen.stream.d_max)
+    runner.run(six, gen.stream, gen.metric.clone())
+    cleanup = SixApproxClustering._cleanup
+
+    def cleanup_walking_every_guess(self, st):
+        cleanup(self, st)
+        self.ops += sum(sum(other.sizes()) for other in self.states)
+
+    monkeypatch.setattr(SixApproxClustering, "_cleanup", cleanup_walking_every_guess)
+    with pytest.raises(InvariantViolation) as e:
+        runner.run(six, gen.stream, gen.metric.clone())
+    assert e.value.invariant == "update-bound"

@@ -1,6 +1,9 @@
+import copy
+
 import pytest
 
 from dynkcenter import (
+    EuclideanMetric,
     SixApproxClustering,
     TimedPoint,
     h_bounded_stream,
@@ -8,7 +11,13 @@ from dynkcenter import (
     sliding_window_stream,
 )
 from dynkcenter.audits import audit_six_approx, audit_six_space
-from dynkcenter.errors import InvalidBeta, InvariantViolation, NonMonotoneArrival
+from dynkcenter.core import GuessLadder
+from dynkcenter.errors import (
+    InvalidBeta,
+    InvalidParameter,
+    InvariantViolation,
+    NonMonotoneArrival,
+)
 from dynkcenter.streamgen import uniform_coords
 from conftest import line_metric
 
@@ -36,6 +45,11 @@ class TestConstruction:
     def test_zero_epsilon_rejected(self):
         with pytest.raises(InvalidBeta):
             SixApproxClustering(1, 0.0, 1, 4, line_metric())
+
+    def test_decreasing_ladder_rejected(self):
+        with pytest.raises(InvalidParameter):
+            SixApproxClustering(1, 1.0, 1, 4, line_metric(),
+                                ladder=GuessLadder(1.0, (2.0, 1.0)))
 
 
 class TestUpdateTrace:
@@ -175,3 +189,89 @@ class TestWorstCaseUpdate:
         make = TAME_STREAMS[name]
         small, large = (self.max_ops_per_rung(make(n)) for n in (500, 2000))
         assert large <= 1.15 * small
+
+
+SMALL_STREAMS = {
+    "sliding": lambda: sliding_window_stream(uniform_coords(120, 2, 3)[0], window=15),
+    "random": lambda: random_lifetime_stream(120, 2, 20, 4),
+    "h5": lambda: h_bounded_stream(120, 5, 2, 5),
+}
+
+
+def rung_state(st):
+    return ([(a.point.id, a.rep.id) for a in st.attractors], set(st.orphans))
+
+
+class TestRungsStayIndependent:
+    """However the structure shares work between rungs, every rung must
+    behave as a structure with that rung alone would."""
+
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_each_rung_matches_its_one_rung_twin(self, name):
+        gen = SMALL_STREAMS[name]()
+        d_min, d_max = gen.stream.d_min, gen.stream.d_max
+        full = SixApproxClustering(3, 1.0, d_min, d_max, gen.metric.clone())
+        twins = [
+            SixApproxClustering(3, 1.0, d_min, d_max, gen.metric.clone(),
+                                ladder=GuessLadder(full.ladder.beta, (g,)))
+            for g in full.ladder
+        ]
+        for i, p in enumerate(gen.stream.points):
+            for c in [full, *twins]:
+                c.update(p)
+                if i % 7 == 0:
+                    c.update(None, p.t_arr)  # an expiry-only advance, counted too
+            for st, peak, twin in zip(full.states, full.peak_per_guess, twins):
+                assert rung_state(st) == rung_state(twin.states[0])
+                assert peak == twin.peak_per_guess[0]
+            assert full.ops == sum(twin.ops for twin in twins)
+            assert full.metric.evals == sum(twin.metric.evals for twin in twins)
+
+
+class _CountingMetric(EuclideanMetric):
+    """Counts the distances actually computed, next to the `evals` that
+    the counters report."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.computed = 0
+
+    def _dist(self, a, b):
+        self.computed += 1
+        return super()._dist(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sliding_window_stream(uniform_coords(1000, 2, 0)[0], 50),
+    lambda: random_lifetime_stream(1000, 2, 64, 0),
+    lambda: h_bounded_stream(1000, 16, 2, 1),
+], ids=["sliding", "random", "h16"])
+def test_updates_compute_few_of_the_distances_they_count(make):
+    """Rungs that agree share their tests: the distances an update computes
+    are well under the per-rung tests it counts."""
+    gen = make()
+    metric = _CountingMetric(2)
+    c = SixApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, metric)
+    for p in gen.stream.points:
+        c.update(p)
+    assert metric.computed <= 0.4 * metric.evals
+
+
+def test_a_deep_copy_replays_like_the_original():
+    """The benchmark replays deep copies of a warmed structure: the copy
+    must give the same answers, counters and rung states."""
+    gen = sliding_window_stream(uniform_coords(600, 2, 2)[0], window=100)
+    points = gen.stream.points
+    original = SixApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max,
+                                   gen.metric.clone())
+    for p in points[:300]:
+        original.update(p)
+    twin = copy.deepcopy(original)
+    for p in points[300:]:
+        answers = []
+        for c in (original, twin):
+            c.update(p)
+            sol = c.query(p.t_arr)
+            answers.append((sol.guess_used, sol.center_ids, c.ops, c.metric.evals,
+                            c.peak_per_guess, [rung_state(st) for st in c.states]))
+        assert answers[0] == answers[1]
