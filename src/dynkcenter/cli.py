@@ -121,13 +121,15 @@ def _cmd_gen(args):
 def _cmd_run(args, verify):
     points = core.load_stream_jsonl(args.stream)
     metric = _load_metric(args, points)
+    cap = core.PAIRWISE_CHECK_CAP
     if args.prescan:
         d_min, d_max = core.pairwise_extremes(metric.clone(), points)
+        cap = 0  # bounds taken from the stream cannot fail the pairwise check
     else:
         if args.dmin is None or args.dmax is None:
             raise DynKCenterError("supply --dmin/--dmax or use --prescan")
         d_min, d_max = args.dmin, args.dmax
-    stream = core.validate_stream(points, metric.clone(), d_min, d_max)
+    stream = core.validate_stream(points, metric.clone(), d_min, d_max, cap)
     config = runner.RunConfig(
         algorithm=args.algo,
         k=args.k,
@@ -156,6 +158,8 @@ def _cmd_run(args, verify):
 
 def _cmd_bench(args):
     sizes = _int_list("--sizes", args.sizes)
+    if not sizes:
+        raise InvalidParameter(f"bad --sizes value {args.sizes!r}: no sizes")
     adversarial = args.kind == "adversarial"
     # The adversarial stream runs on one guess, gamma, to show reclustering's
     # effect; random streams on a ladder over their whole distance range.

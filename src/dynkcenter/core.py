@@ -253,10 +253,10 @@ def _floor_log(base: float, x: float) -> int:
 
 
 def build_guess_ladder(d_min: float, d_max: float, beta: float) -> GuessLadder:
-    if not (0 < d_min <= d_max):
-        raise InvalidBounds(f"need 0 < d_min <= d_max, got {d_min}, {d_max}")
-    if beta <= 0:
-        raise InvalidBeta(f"beta must be positive, got {beta}")
+    if not (0 < d_min <= d_max < math.inf):
+        raise InvalidBounds(f"need 0 < d_min <= d_max < inf, got {d_min}, {d_max}")
+    if not (0 < beta < math.inf):
+        raise InvalidBeta(f"beta must be positive and finite, got {beta}")
     base = 1.0 + beta
     i_lo = _floor_log(base, d_min)
     i_hi = _floor_log(base, d_max)
@@ -273,9 +273,11 @@ class LadderClustering:
     the smallest feasible guess gamma, hence the FACTOR + epsilon ratio.
 
     A subclass sets FACTOR and State (its per-guess state, built from
-    gamma) and provides ``_update(p, t)``, ``query(t)``, ``stored_points()``
-    and ``peak_stored``; (2+eps) still overrides ``update`` whole, with the
-    same argument handling. RECLUSTERS says whether it has the size-balance
+    gamma) and supplies the three steps of the one update and query path:
+    ``_expire(t)`` drops what has expired by t, ``_arrive(p)`` applies an
+    arrival to every rung, and ``_answer()`` answers at the smallest
+    feasible guess. It also provides ``stored_points()`` and
+    ``peak_stored``. RECLUSTERS says whether it has the size-balance
     reclustering that ``reclustering_enabled`` switches.
     """
 
@@ -294,8 +296,8 @@ class LadderClustering:
     ):
         if k < 1:
             raise InvalidParameter(f"k must be >= 1, got {k}")
-        if epsilon <= 0:
-            raise InvalidBeta(f"epsilon must be positive, got {epsilon}")
+        if not (0 < epsilon < math.inf):
+            raise InvalidBeta(f"epsilon must be positive and finite, got {epsilon}")
         self.k = k
         self.epsilon = epsilon
         self.metric = metric
@@ -304,6 +306,7 @@ class LadderClustering:
         )
         self.states = [self.State(g) for g in self.ladder]
         self.ops = 0  # structural operation counter
+        self.update_ops = 0  # ops of the latest update
         self._last_arrival = -math.inf
         self._now = -math.inf  # latest time seen by update or query
 
@@ -317,7 +320,18 @@ class LadderClustering:
         elif t is None:
             raise InvalidParameter("update(None) needs an explicit time")
         self._advance(t, p)
-        self._update(p, t)
+        ops = self.ops
+        self._expire(t)
+        if p is not None:
+            self._arrive(p)
+        self.update_ops = self.ops - ops
+
+    def query(self, t):
+        """Drop what has expired by t, then answer at the smallest feasible
+        guess."""
+        self._advance(t)
+        self._expire(t)
+        return self._answer()
 
     def _advance(self, t, p=None):
         """Move the clock to t, first checking that time does not run

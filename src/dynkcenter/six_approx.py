@@ -93,7 +93,6 @@ class SixApproxClustering(LadderClustering):
     ):
         super().__init__(k, epsilon, d_min, d_max, metric, ladder)
         self.peak_per_guess = [0] * len(self.states)
-        self.update_ops = 0  # ops of the latest update
         # No stored point expires before this time; see `_expire`.
         self._next_expiry = math.inf
         self._two_g = [2.0 * st.gamma for st in self.states]
@@ -110,18 +109,14 @@ class SixApproxClustering(LadderClustering):
 
     # -- update ------------------------------------------------------------
 
-    def _update(self, p, t):
-        ops = self.ops
-        self._expire(t)
-        if p is not None:
-            groups = []
-            memo = {}  # attractor id -> its distance to p, one call each
-            for lo, hi in self._groups:
-                groups += self._arrive(lo, hi, p, memo)
-            # `_arrive` counted every rung's tests, `distance` each call again.
-            self.metric.evals -= len(memo)
-            self._groups = self._merged(groups)
-        self.update_ops = self.ops - ops
+    def _arrive(self, p):
+        groups = []
+        memo = {}  # attractor id -> its distance to p, one call each
+        for lo, hi in self._groups:
+            groups += self._arrive_group(lo, hi, p, memo)
+        # `_arrive_group` counted every rung's tests, `distance` each call again.
+        self.metric.evals -= len(memo)
+        self._groups = self._merged(groups)
 
     def _expire(self, t):
         """Purge each group once, counting its ops once per rung. Before
@@ -142,7 +137,7 @@ class SixApproxClustering(LadderClustering):
                        *(q.t_del for q in st.orphans.values())])
         self._next_expiry = nxt
 
-    def _arrive(self, lo, hi, p, memo):
+    def _arrive_group(self, lo, hi, p, memo):
         """Apply arrival p to the rungs [lo, hi), which share one state, and
         return the ranges that share a state afterwards."""
         st = self.states[lo]
@@ -164,24 +159,24 @@ class SixApproxClustering(LadderClustering):
             part.orphans = dict(st.orphans)
             self._share(s + 1, e, part)
         for s, e in zip(bounds, bounds[1:]):
+            ops = self.ops
             self._insert(s, e, p, dists)
+            self.ops += (e - s - 1) * (self.ops - ops)
         return list(zip(bounds, bounds[1:]))
 
     def _insert(self, lo, hi, p, dists):
         """Insert p into the state of rungs [lo, hi), whose tests against
-        the attractors, at `dists`, all have the same outcomes."""
+        the attractors, at `dists`, all have the same outcomes. Counts one
+        rung's ops."""
         st = self.states[lo]
-        m = hi - lo
         two_g = self._two_g[lo]
         within = [a for a, d in zip(st.attractors, dists) if d <= two_g]
-        self.ops += m * len(dists)
+        self.ops += len(dists)
         if not within:
             st.attractors.append(_Attractor(p))
             self._next_expiry = min(self._next_expiry, p.t_del)
-            self.ops += m
-            ops = self.ops
+            self.ops += 1
             self._cleanup(st)
-            self.ops += (m - 1) * (self.ops - ops)
             # Only a new attractor grows a guess, so only here can its peak rise.
             size = sum(st.sizes())
             peaks = self.peak_per_guess
@@ -190,11 +185,11 @@ class SixApproxClustering(LadderClustering):
                     peaks[i] = size
         else:
             eligible = [a for a in within if deletion_key(a.rep) < deletion_key(p)]
-            self.ops += m * len(within)
+            self.ops += len(within)
             if eligible:
                 a = min(eligible, key=lambda e: e.point.id)
                 a.rep = p  # the displaced representative is dropped
-                self.ops += m
+                self.ops += 1
             # otherwise p is discarded for these guesses
 
     def _merged(self, groups):
@@ -246,11 +241,9 @@ class SixApproxClustering(LadderClustering):
 
     # -- query -------------------------------------------------------------
 
-    def query(self, t) -> Solution:
+    def _answer(self) -> Solution:
         """Greedy 2*gamma cover of the representatives, at the smallest
         feasible guess; with nothing stored, no centers at the smallest."""
-        self._advance(t)
-        self._expire(t)
         for lo, hi in self._groups:
             st = self.states[lo]
             if len(st.attractors) > self.k:

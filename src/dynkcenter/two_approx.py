@@ -19,7 +19,7 @@ call it.
 from __future__ import annotations
 
 from .core import DeletionQueue, GuessLadder, LadderClustering, Metric, deletion_key
-from .errors import InvalidParameter, NoCurrentQuery, NoFeasibleGuess, PointNotFound
+from .errors import NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
 
 
@@ -59,11 +59,10 @@ class TwoApproxGuessState:
 
 
 class TwoApproxClustering(LadderClustering):
-    """Dynamic clustering over the full guess ladder.
-
-    ``update(p)`` flushes due expiries, then handles one arrival at its own
-    time; ``update(None, t)`` and ``query(t)`` flush them too. A query then
-    returns the centers of the smallest guess with no unclustered point.
+    """Dynamic clustering over the full guess ladder; `LadderClustering`
+    runs the update and query path. An arrival is placed first-fit on every
+    rung, and a query returns the centers of the smallest guess with no
+    unclustered point.
     """
 
     FACTOR = 2.0
@@ -94,26 +93,19 @@ class TwoApproxClustering(LadderClustering):
 
     # -- update ------------------------------------------------------------
 
-    def update(self, p=None, t=None):
-        if p is not None:
-            if t is None:
-                t = p.t_arr
-        elif t is None:
-            raise InvalidParameter("update(None) needs an explicit time")
-        self._advance(t, p)
-        self._last_query_index = None
-        self._expire(t)
-        if p is not None:
-            for st in self.states:
-                self._place(st, p, st.clusters)
-                self._recluster(st)
-            self.queue.push(p)
-            self.ops += 1
-            # Only an arrival grows the stored set, so only here can the peak rise.
-            self.peak_stored = max(self.peak_stored, self.stored_points())
+    def _arrive(self, p):
+        for st in self.states:
+            self._place(st, p, st.clusters)
+            self._recluster(st)
+        self.queue.push(p)
+        self.ops += 1
+        # Only an arrival grows the stored set, so only here can the peak rise.
+        self.peak_stored = max(self.peak_stored, self.stored_points())
 
     def _expire(self, t):
-        """Delete every stored point with t_del <= t, on every rung."""
+        """Delete every stored point with t_del <= t, on every rung. Any
+        move of the clock ends the last query's witness."""
+        self._last_query_index = None
         key = self.queue.peek_key()
         while key is not None and key[0] <= t:
             q = self.queue.pop()
@@ -242,11 +234,8 @@ class TwoApproxClustering(LadderClustering):
 
     # -- query -------------------------------------------------------------
 
-    def query(self, t) -> Solution:
+    def _answer(self) -> Solution:
         """Centers of the smallest guess with an empty unclustered set."""
-        self._advance(t)
-        self._last_query_index = None
-        self._expire(t)
         for idx, st in enumerate(self.states):
             self.ops += 1
             if not st.unclustered:

@@ -67,6 +67,23 @@ class TestRunVerify:
         assert float(rows[0]["radius"]) >= 0.0
         assert "t=" in capsys.readouterr().out
 
+    def test_prescan_scans_the_pairs_once(self, tmp_path, monkeypatch):
+        """Bounds taken from the stream cannot fail validation's pairwise
+        check, so a prescanned run does not repeat it."""
+        stream = tmp_path / "s.jsonl"
+        run_cli("gen", "--kind", "random", "--n", "20", "--out", str(stream))
+        calls = []
+        extremes = core.Metric.extremes
+
+        def counted(self, points):
+            calls.append(len(points))
+            return extremes(self, points)
+
+        monkeypatch.setattr(core.Metric, "extremes", counted)
+        assert run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1.0",
+                       "--prescan", "--stream", str(stream)) == 0
+        assert calls == [20]
+
     def test_run_requires_bounds(self, stream_path, capsys):
         rc = run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1.0",
                      "--stream", str(stream_path))
@@ -211,6 +228,11 @@ class TestTypedErrors:
         ("verify", "--algo", "two", *RUN, "--oracle-cap", "0"),
         ("run", "--algo", "two", *RUN, "--queries", "at:-5,100"),
         ("bench", "--sizes", "16", "--kind", "adversarial", "--epsilon", "-1"),
+        ("bench", "--sizes", ","),
+        ("run", "--algo", "two", "--k", "2", "--prescan", "--epsilon", "nan"),
+        ("verify", "--algo", "six", "--k", "2", "--prescan", "--epsilon", "inf"),
+        ("run", "--algo", "two", "--k", "2", "--epsilon", "1", "--dmin", "0.01",
+         "--dmax", "inf"),
     ], ids=lambda a: " ".join(a[:1] + a[-2:]))
     def test_exit_1_with_error_line(self, argv, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"

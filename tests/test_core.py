@@ -57,6 +57,18 @@ class TestGuessLadder:
         with pytest.raises(InvalidBeta):
             build_guess_ladder(1, 2, 0)
 
+    @pytest.mark.parametrize("d_min, d_max", [
+        (1, math.inf), (math.inf, math.inf), (math.nan, 1), (1, math.nan),
+    ])
+    def test_non_finite_bounds(self, d_min, d_max):
+        with pytest.raises(InvalidBounds):
+            build_guess_ladder(d_min, d_max, 1)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta(self, beta):
+        with pytest.raises(InvalidBeta):
+            build_guess_ladder(1, 2, beta)
+
     @given(
         st.floats(min_value=0.01, max_value=100),
         st.floats(min_value=1, max_value=50),

@@ -1,11 +1,14 @@
 """The interface both structures share through `LadderClustering`: the
 ladder, typed parameter checks, and a clock that never runs backwards."""
 
+import math
+
 import pytest
 
-from dynkcenter import TimedPoint
+from dynkcenter import EuclideanMetric, TimedPoint, random_lifetime_stream
 from dynkcenter.core import LadderClustering
 from dynkcenter.errors import (
+    InvalidBeta,
     InvalidParameter,
     NoFeasibleGuess,
     NonMonotoneArrival,
@@ -32,6 +35,45 @@ def test_ladder_uses_epsilon_over_factor(structure):
 def test_k_below_one_rejected(structure):
     with pytest.raises(InvalidParameter):
         structure(0, 1.0, 1, 4, line_metric())
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+def test_non_finite_epsilon_rejected(structure, epsilon):
+    with pytest.raises(InvalidBeta):
+        structure(1, epsilon, 1, 4, line_metric())
+
+
+def test_only_the_shell_defines_update_and_query(structure):
+    """Each structure supplies `_expire`, `_arrive` and `_answer`; the one
+    update and query path is `LadderClustering`'s."""
+    for name in ("update", "query"):
+        assert name not in vars(structure)
+    for name in ("_expire", "_arrive", "_answer"):
+        assert name in vars(structure)
+
+
+def test_update_ops_is_the_ops_of_the_latest_update(structure):
+    """Over a seeded stream with clock-only updates and queries between the
+    arrivals, `update_ops` is each update's ops delta, and a query leaves
+    it as the latest update set it."""
+    points = random_lifetime_stream(120, 2, 15, seed=4).stream.points
+    c = structure(2, 1.0, 0.01, 2.0, EuclideanMetric(2))
+    for p in points:
+        if p.t_arr % 3 == 0:
+            ops = c.ops
+            c.update(None, p.t_arr - 1)
+            assert c.update_ops == c.ops - ops
+        ops = c.ops
+        c.update(p)
+        assert c.update_ops == c.ops - ops > 0
+        last = c.update_ops
+        if p.t_arr % 2 == 0:
+            ops = c.ops
+            c.query(p.t_arr)
+            assert c.ops > ops and c.update_ops == last
+    ops = c.ops
+    c.update(None, max(p.t_del for p in points))
+    assert c.update_ops == c.ops - ops > 0 and c.stored_points() == 0
 
 
 def test_query_before_last_arrival_raises(structure):
