@@ -85,7 +85,10 @@ def _parse_queries(spec):
     if spec in ("every", "end"):
         return spec
     if spec.startswith("at:"):
-        return _int_list("--queries", spec[3:])
+        times = _int_list("--queries", spec[3:])
+        if not times:
+            raise InvalidParameter("--queries at: needs at least one time")
+        return times
     raise DynKCenterError(f"bad --queries value {spec!r}")
 
 

@@ -37,6 +37,11 @@ from .errors import (
 # Default size limit for O(n^2)/O(n^3) exhaustive validation passes.
 PAIRWISE_CHECK_CAP = 500
 
+# Most rungs a guess ladder may span, counted from the rung nearest 1.0,
+# where `_floor_log` starts its walk. Every update does work on every rung,
+# and a tiny beta would otherwise walk or build for hours.
+MAX_RUNGS = 100_000
+
 # Side of the square tiles in which the vectorized `extremes` scans the
 # upper triangle of pairs: 256 x 256 = 2**16 pair distances per tile, so its
 # memory stays bounded whatever n is.
@@ -258,6 +263,14 @@ def build_guess_ladder(d_min: float, d_max: float, beta: float) -> GuessLadder:
     if not (0 < beta < math.inf):
         raise InvalidBeta(f"beta must be positive and finite, got {beta}")
     base = 1.0 + beta
+    if base == 1.0:
+        raise InvalidBeta(f"1 + beta rounds to 1.0 for beta {beta}")
+    span = (math.log(max(d_max, 1.0)) - math.log(min(d_min, 1.0))) / math.log1p(beta)
+    if span > MAX_RUNGS:
+        raise InvalidBeta(
+            f"beta {beta} would need about {span:.3g} rungs from 1.0 to cover "
+            f"[{d_min}, {d_max}], more than {MAX_RUNGS}"
+        )
     i_lo = _floor_log(base, d_min)
     i_hi = _floor_log(base, d_max)
     if base**i_hi < d_max:

@@ -14,6 +14,11 @@ center-deletion reassignment call it. `_open_longest_lived` opens a cluster
 at the longest-lived point of a pool and attaches the pool points within
 2*gamma of it: center-deletion promotion and every reclustering round
 call it.
+
+Neighbouring rungs test many of the same pairs, so each update memoises
+d(x, y) by the pair of point ids and computes every pair once. Every test
+still counts one evaluation in `metric.evals`, memoised or not, so the
+counters stay per test.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class TwoApproxClustering(LadderClustering):
         self.queue = DeletionQueue()
         self.peak_stored = 0
         self._last_query_index = None
+        self._memo = {}  # (smaller id, larger id) -> distance, this update only
 
     @classmethod
     def single_guess(cls, k, gamma, metric, reclustering_enabled=True, epsilon=2.0):
@@ -94,6 +100,7 @@ class TwoApproxClustering(LadderClustering):
     # -- update ------------------------------------------------------------
 
     def _arrive(self, p):
+        self._memo.clear()
         for st in self.states:
             self._place(st, p, st.clusters)
             self._recluster(st)
@@ -107,12 +114,25 @@ class TwoApproxClustering(LadderClustering):
         move of the clock ends the last query's witness."""
         self._last_query_index = None
         key = self.queue.peek_key()
+        if key is None or key[0] > t:
+            return
+        self._memo.clear()
         while key is not None and key[0] <= t:
             q = self.queue.pop()
             self.ops += 1
             for st in self.states:
                 self._delete_guess(st, q)
             key = self.queue.peek_key()
+
+    def _dist(self, x, y) -> float:
+        """d(x, y), computed once per update and counted once per test."""
+        key = (x.id, y.id) if x.id < y.id else (y.id, x.id)
+        d = self._memo.get(key)
+        if d is None:
+            d = self._memo[key] = self.metric.distance(x, y)
+        else:
+            self.metric.evals += 1
+        return d
 
     def _place(self, st, x, candidates):
         """First-fit: attach x to the first candidate whose center is within
@@ -121,7 +141,7 @@ class TwoApproxClustering(LadderClustering):
         two_g = 2.0 * st.gamma
         for cl in candidates:
             self.ops += 1
-            if self.metric.distance(x, cl.center) <= two_g:
+            if self._dist(x, cl.center) <= two_g:
                 self._attach(cl, x)
                 return
         if len(st.clusters) < self.k:
@@ -160,7 +180,7 @@ class TwoApproxClustering(LadderClustering):
             if x is best:
                 continue
             self.ops += 1
-            if self.metric.distance(x, best) <= two_g:
+            if self._dist(x, best) <= two_g:
                 self._attach(cl, x)
             else:
                 rest.append(x)
@@ -207,14 +227,14 @@ class TwoApproxClustering(LadderClustering):
         # Smallest index whose suffix has more persistent than
         # vanishing-plus-unclustered points: the backward pass meets it last.
         u_size = len(st.unclustered)
-        suf_p = suf_v = 0
+        j = len(st.clusters)
+        self.ops += j
+        suf = 0
         trigger = None
-        for j in range(len(st.clusters) - 1, -1, -1):
-            cl = st.clusters[j]
-            suf_p += cl.persistent
-            suf_v += cl.vanishing
-            self.ops += 1
-            if suf_p > u_size + suf_v:
+        for cl in reversed(st.clusters):
+            j -= 1
+            suf += cl.persistent - cl.vanishing
+            if suf > u_size:
                 trigger = j
         if trigger is None:
             return

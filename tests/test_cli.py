@@ -233,6 +233,8 @@ class TestTypedErrors:
         ("verify", "--algo", "six", "--k", "2", "--prescan", "--epsilon", "inf"),
         ("run", "--algo", "two", "--k", "2", "--epsilon", "1", "--dmin", "0.01",
          "--dmax", "inf"),
+        ("run", "--algo", "two", *RUN, "--queries", "at:"),
+        ("run", "--algo", "two", "--k", "2", "--prescan", "--epsilon", "1e-17"),
     ], ids=lambda a: " ".join(a[:1] + a[-2:]))
     def test_exit_1_with_error_line(self, argv, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"

@@ -15,6 +15,7 @@ from dynkcenter import (
     validate_stream,
 )
 from dynkcenter.core import (
+    MAX_RUNGS,
     _TILE,
     _floor_log,
     load_matrix_csv,
@@ -84,6 +85,23 @@ class TestGuessLadder:
             assert ladder.guesses[i] == pytest.approx(
                 ladder.guesses[i - 1] * (1 + beta)
             )
+
+    @pytest.mark.parametrize("d_min, d_max", [(1, 2), (1, 1), (2, 2)])
+    def test_beta_that_vanishes_next_to_one_rejected(self, d_min, d_max):
+        """1 + 1e-17 is 1.0: a ladder of that ratio would never grow."""
+        with pytest.raises(InvalidBeta):
+            build_guess_ladder(d_min, d_max, 1e-17)
+
+    @pytest.mark.parametrize("d_min, d_max", [(1, 2), (2, 2), (1e-3, 1e-3)])
+    def test_too_many_rungs_rejected(self, d_min, d_max):
+        """The walk from 1.0 to the bounds counts too, so even a one-rung
+        ladder far from 1.0 is rejected at a tiny beta."""
+        with pytest.raises(InvalidBeta):
+            build_guess_ladder(d_min, d_max, 1e-12)
+
+    def test_wide_fine_ladder_accepted(self):
+        ladder = build_guess_ladder(1e-300, 1e300, 0.1)
+        assert 10_000 < len(ladder) <= MAX_RUNGS
 
     def test_floor_log_exact_powers(self):
         assert _floor_log(2.0, 8.0) == 3

@@ -4,6 +4,7 @@ from dynkcenter import (
     EuclideanMetric,
     TimedPoint,
     TwoApproxClustering,
+    h_bounded_stream,
     random_lifetime_stream,
     sliding_window_stream,
 )
@@ -17,6 +18,7 @@ from dynkcenter.errors import (
     NonMonotoneArrival,
     PastTime,
 )
+from dynkcenter.streamgen import uniform_coords
 from conftest import line_metric, line_points
 
 
@@ -359,3 +361,133 @@ class TestStaleWitness:
             c.query(9)
         with pytest.raises(NoCurrentQuery):
             c.witness()
+
+
+class _CountingMetric(EuclideanMetric):
+    """Counts the distances actually computed, next to the `evals` that
+    the counters report."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.computed = 0
+
+    def _dist(self, a, b):
+        self.computed += 1
+        return super()._dist(a, b)
+
+
+@pytest.mark.parametrize("reclustering_enabled", [True, False],
+                         ids=["reclustering", "no-reclustering"])
+@pytest.mark.parametrize("make", [
+    lambda: sliding_window_stream(uniform_coords(1000, 2, 0)[0], 50),
+    lambda: random_lifetime_stream(1000, 2, 64, 0),
+    lambda: h_bounded_stream(1000, 16, 2, 1),
+], ids=["sliding", "random", "h16"])
+def test_updates_compute_few_of_the_distances_they_count(make, reclustering_enabled):
+    """Neighbouring rungs test many of the same pairs, and an update
+    computes each pair once: the distances it computes are well under the
+    per-rung tests it counts."""
+    gen = make()
+    metric = _CountingMetric(2)
+    c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, metric,
+                            reclustering_enabled)
+    for p in gen.stream.points:
+        c.update(p)
+    c.update(None, max(p.t_del for p in gen.stream.points))
+    assert metric.computed <= 0.3 * metric.evals
+
+
+class _Unmemoised(TwoApproxClustering):
+    """Computes every distance it tests, as the structure did before its
+    per-update memo."""
+
+    def _dist(self, x, y):
+        return self.metric.distance(x, y)
+
+
+def rung_state(st):
+    """What first-fit and `_open_longest_lived` can observe of a rung."""
+    return (
+        tuple((cl.center.id, tuple(cl.members.keys()), cl.persistent, cl.vanishing)
+              for cl in st.clusters),
+        tuple(st.unclustered.keys()),
+    )
+
+
+def replay_trace(c, points):
+    """Per update: ops, evals, every rung's state and the answer. Each
+    arrival is followed by a query; after the last arrival the clock
+    moves on in steps until every point has expired."""
+    def row(t):
+        try:
+            sol = c.query(t)
+            answer = (sol.guess_used, tuple(sol.center_ids))
+        except NoFeasibleGuess:
+            answer = None
+        return (c.ops, c.metric.evals, answer, [rung_state(st) for st in c.states])
+
+    trace = []
+    for p in points:
+        c.update(p)
+        trace.append(row(p.t_arr))
+    end = max(p.t_del for p in points)
+    for t in range(points[-1].t_arr + 1, end + 1, 3):
+        c.update(None, t)
+        trace.append(row(t))
+    return trace
+
+
+class TestDistanceMemo:
+    """Each update memoises the distances it tests by pair of point ids;
+    the memo must change no counter, rung state or answer."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_lifetime_stream(300, 2, 16, 4),
+        lambda: h_bounded_stream(300, 8, 2, 4),
+    ], ids=["random", "h8"])
+    def test_memo_holds_at_most_the_updates_own_tests(self, make):
+        """After an arrival, or a clock move that expires points, the memo
+        holds only pairs that update tested."""
+        gen = make()
+        c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max,
+                                gen.metric.clone())
+        for p in gen.stream.points:
+            evals = c.metric.evals
+            c.update(p)
+            assert len(c._memo) <= c.metric.evals - evals
+        while c.queue:
+            evals, stored = c.metric.evals, len(c.queue)
+            c.update(None, c.queue.peek_key()[0])
+            assert len(c.queue) < stored
+            assert len(c._memo) <= c.metric.evals - evals
+
+    def test_a_query_that_expires_nothing_leaves_the_memo(self):
+        gen = random_lifetime_stream(300, 2, 16, 5)
+        c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max,
+                                gen.metric.clone())
+        held = 0
+        for p in gen.stream.points:
+            c.update(p)
+            memo = dict(c._memo)
+            c.query(p.t_arr)
+            assert c._memo == memo
+            held += bool(memo)
+        assert held > 0
+
+    @pytest.mark.parametrize("reclustering_enabled", [True, False],
+                             ids=["reclustering", "no-reclustering"])
+    def test_replays_match_a_structure_without_the_memo(self, reclustering_enabled):
+        for seed in range(300):
+            n, k = 12 + seed % 17, 1 + seed % 3
+            epsilon = (0.5, 1.0, 2.0)[seed // 3 % 3]
+            if seed % 4 == 3:
+                gen = h_bounded_stream(n, seed % 5, 1 + seed % 2, seed)
+            else:
+                gen = random_lifetime_stream(n, 1 + seed % 2, 3 + seed % 9, seed)
+            traces = [
+                replay_trace(cls(k, epsilon, gen.stream.d_min, gen.stream.d_max,
+                                 gen.metric.clone(), reclustering_enabled),
+                             gen.stream.points)
+                for cls in (TwoApproxClustering, _Unmemoised)
+            ]
+            assert traces[0] == traces[1], seed
