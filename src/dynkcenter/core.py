@@ -13,6 +13,7 @@ import csv
 import heapq
 import json
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 
@@ -81,7 +82,10 @@ class Metric:
 
     def distance(self, p: TimedPoint, q: TimedPoint) -> float:
         self.evals += 1
-        return self._dist(p.payload, q.payload)
+        try:
+            return self._dist(p.payload, q.payload)
+        except (TypeError, IndexError) as e:  # a payload this metric cannot read
+            raise MetricError(f"cannot measure d({p.id}, {q.id}): {e}") from e
 
     def _dist(self, a, b) -> float:
         raise NotImplementedError
@@ -231,10 +235,17 @@ def _tile_extremes(n: int, block):
 
 @dataclass(frozen=True)
 class GuessLadder:
-    """Geometric set of radius guesses (1+beta)^i; see `build_guess_ladder`."""
+    """Radius guesses: non-empty, finite, non-negative (0 is legal) and strictly
+    increasing; `build_guess_ladder` makes the geometric (1+beta)^i."""
 
     beta: float
     guesses: tuple
+
+    def __post_init__(self):
+        g = self.guesses  # strictly increasing, so its ends bound every guess
+        if not (g and 0 <= g[0] and g[-1] < math.inf and all(a < b for a, b in zip(g, g[1:]))):
+            raise InvalidParameter("guesses must be non-empty, finite, non-negative and "
+                                   f"strictly increasing, got {reprlib.repr(g)}")
 
     def __len__(self):
         return len(self.guesses)

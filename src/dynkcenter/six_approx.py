@@ -10,11 +10,12 @@ Neighbouring rungs whose states are equal share one: their entries in
 dict. A rung's next state depends only on its state, the update and the
 outcomes of its tests d(a, p) <= 2*gamma, and an arrival's tests are known
 before it is applied. So an update is applied once per group of rungs that
-share a state. Before an arrival, a group splits, on copies of its state,
-at each rung where one of the arrival's distances changes a test's
-outcome; after it, neighbouring groups whose states are equal again merge.
-Counters keep their per-rung meaning: a group of m rungs counts m ops per
-operation and m evaluations per distance it computes once.
+share a state, in one pass over the groups. An arrival splits a group, on
+copies of its state, where one of its distances changes a test's outcome,
+inserts itself into each part, and merges each part into the group before
+it once their states are equal. An expiry purges each group and learns the
+next expiry time. Counters keep their per-rung meaning: a group of m rungs
+counts m ops per operation and m evaluations per distance it computes once.
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
 only drops what has expired by t; see `LadderClustering.update`.
@@ -26,7 +27,7 @@ import math
 from bisect import bisect_left
 
 from .core import GuessLadder, LadderClustering, Metric, deletion_key
-from .errors import InvalidParameter, NoFeasibleGuess
+from .errors import NoFeasibleGuess
 from .oracle import Solution, greedy_cover
 
 # One update does at most UPDATE_OPS_FACTOR * (3k+3+H) ops per rung on an
@@ -96,8 +97,6 @@ class SixApproxClustering(LadderClustering):
         # No stored point expires before this time; see `_expire`.
         self._next_expiry = math.inf
         self._two_g = [2.0 * st.gamma for st in self.states]
-        if any(a > b for a, b in zip(self._two_g, self._two_g[1:])):
-            raise InvalidParameter("the ladder's guesses must not decrease")
         # [lo, hi) rung ranges, in order, each sharing one state; all start empty.
         self._groups = [(0, len(self.states))]
         self._share(0, len(self.states), self.states[0])
@@ -110,13 +109,40 @@ class SixApproxClustering(LadderClustering):
     # -- update ------------------------------------------------------------
 
     def _arrive(self, p):
+        """One pass over the groups: split, insert, merge; see the module docstring."""
         groups = []
         memo = {}  # attractor id -> its distance to p, one call each
         for lo, hi in self._groups:
-            groups += self._arrive_group(lo, hi, p, memo)
-        # `_arrive_group` counted every rung's tests, `distance` each call again.
+            st = self.states[lo]
+            dists = []
+            for a in st.attractors:
+                d = memo.get(a.point.id)
+                if d is None:
+                    d = memo[a.point.id] = self.metric.distance(a.point, p)
+                dists.append(d)
+            self.metric.evals += (hi - lo) * len(dists)
+            # Rung i tests d <= 2*gamma_i, so a test's outcome changes at the
+            # first rung whose 2*gamma is at least d.
+            cuts = {bisect_left(self._two_g, d, lo, hi) for d in dists} if hi - lo > 1 else ()
+            bounds = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
+            # Copies come from the state as purged, before the arrival changes it.
+            for s, e in zip(bounds[1:-1], bounds[2:]):
+                part = self.states[s]
+                part.attractors = [_Attractor(a.point, a.rep) for a in st.attractors]
+                part.orphans = dict(st.orphans)
+                self._share(s + 1, e, part)
+            for s, e in zip(bounds, bounds[1:]):
+                ops = self.ops
+                self._insert(s, e, p, dists)
+                self.ops += (e - s - 1) * (self.ops - ops)
+                if groups and _same(self.states[groups[-1][0]], self.states[s]):
+                    self._share(s, e, self.states[groups[-1][0]])
+                    groups[-1] = (groups[-1][0], e)
+                else:
+                    groups.append((s, e))
+        # The loop counted every rung's tests, `distance` each call again.
         self.metric.evals -= len(memo)
-        self._groups = self._merged(groups)
+        self._groups = groups
 
     def _expire(self, t):
         """Purge each group once, counting its ops once per rung. Before
@@ -126,43 +152,7 @@ class SixApproxClustering(LadderClustering):
                 st = self.states[lo]
                 self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
             return
-        nxt = math.inf
-        for lo, hi in self._groups:
-            st = self.states[lo]
-            ops = self.ops
-            self._purge(st, t)
-            self.ops += (hi - lo - 1) * (self.ops - ops)
-            # A representative expires no earlier than its attractor.
-            nxt = min([nxt, *(a.point.t_del for a in st.attractors),
-                       *(q.t_del for q in st.orphans.values())])
-        self._next_expiry = nxt
-
-    def _arrive_group(self, lo, hi, p, memo):
-        """Apply arrival p to the rungs [lo, hi), which share one state, and
-        return the ranges that share a state afterwards."""
-        st = self.states[lo]
-        dists = []
-        for a in st.attractors:
-            d = memo.get(a.point.id)
-            if d is None:
-                d = memo[a.point.id] = self.metric.distance(a.point, p)
-            dists.append(d)
-        self.metric.evals += (hi - lo) * len(dists)
-        # Rung i tests d <= 2*gamma_i, so a test's outcome changes at the
-        # first rung whose 2*gamma is at least d.
-        cuts = {bisect_left(self._two_g, d, lo, hi) for d in dists} if hi - lo > 1 else ()
-        bounds = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
-        # Copies come from the state as purged, before the arrival changes it.
-        for s, e in zip(bounds[1:-1], bounds[2:]):
-            part = self.states[s]
-            part.attractors = [_Attractor(a.point, a.rep) for a in st.attractors]
-            part.orphans = dict(st.orphans)
-            self._share(s + 1, e, part)
-        for s, e in zip(bounds, bounds[1:]):
-            ops = self.ops
-            self._insert(s, e, p, dists)
-            self.ops += (e - s - 1) * (self.ops - ops)
-        return list(zip(bounds, bounds[1:]))
+        self._next_expiry = min([self._purge(lo, hi, t) for lo, hi in self._groups])
 
     def _insert(self, lo, hi, p, dists):
         """Insert p into the state of rungs [lo, hi), whose tests against
@@ -192,37 +182,33 @@ class SixApproxClustering(LadderClustering):
                 self.ops += 1
             # otherwise p is discarded for these guesses
 
-    def _merged(self, groups):
-        """`groups` with each run of neighbours whose states are equal made
-        one group."""
-        out = [groups[0]]
-        for lo, hi in groups[1:]:
-            first = out[-1][0]
-            if _same(self.states[first], self.states[lo]):
-                self._share(lo, hi, self.states[first])
-                out[-1] = (first, hi)
-            else:
-                out.append((lo, hi))
-        return out
-
-    def _purge(self, st: SixApproxGuessState, t):
-        """Drop every stored point with t_del <= t. An expired attractor's
-        surviving representative becomes an orphan. Filters in place, as
-        the containers may be shared."""
-        keep = []
+    def _purge(self, lo, hi, t):
+        """Drop every stored point with t_del <= t from the state of rungs
+        [lo, hi), counting its ops once per rung, and return the earliest
+        t_del kept; no representative expires before its attractor. An
+        expired attractor's surviving representative becomes an orphan.
+        Filters in place, as the containers are shared."""
+        st = self.states[lo]
+        keep, nxt = [], math.inf
         for a in st.attractors:
-            self.ops += 1
-            if a.point.t_del <= t:
-                if a.rep.t_del > t:
-                    st.orphans[a.rep.id] = a.rep
-            else:
+            if a.point.t_del > t:
                 keep.append(a)
+                if a.point.t_del < nxt:
+                    nxt = a.point.t_del
+            elif a.rep.t_del > t:
+                st.orphans[a.rep.id] = a.rep
+        self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
         if len(keep) < len(st.attractors):
             st.attractors[:] = keep
-        expired = [pid for pid, q in st.orphans.items() if q.t_del <= t]
-        self.ops += len(st.orphans)
+        expired = []
+        for pid, q in st.orphans.items():
+            if q.t_del <= t:
+                expired.append(pid)
+            elif q.t_del < nxt:
+                nxt = q.t_del
         for pid in expired:
             del st.orphans[pid]
+        return nxt
 
     def _cleanup(self, st: SixApproxGuessState):
         if len(st.attractors) == self.k + 2:

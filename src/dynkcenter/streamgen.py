@@ -99,6 +99,8 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
     """
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
+    if not (0 < gamma < np.inf):
+        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
     m = 2 * n
     blob = slice(1, n)  # indices of the long-lived blob
     late = slice(n, m)  # indices of the short-lived batch

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 
@@ -235,6 +236,9 @@ class TestTypedErrors:
          "--dmax", "inf"),
         ("run", "--algo", "two", *RUN, "--queries", "at:"),
         ("run", "--algo", "two", "--k", "2", "--prescan", "--epsilon", "1e-17"),
+        ("bench", "--sizes", "16", "--kind", "adversarial", "--gamma", "inf"),
+        ("bench", "--sizes", "16", "--kind", "adversarial", "--gamma", "0"),
+        ("gen", "--kind", "adversarial", "--n", "5", "--gamma", "inf"),
     ], ids=lambda a: " ".join(a[:1] + a[-2:]))
     def test_exit_1_with_error_line(self, argv, tmp_path, capsys):
         stream = tmp_path / "s.jsonl"
@@ -260,6 +264,32 @@ class TestTypedErrors:
         capsys.readouterr()
         assert run_cli("run", "--algo", algo, "--k", "2", "--epsilon", "1.0",
                        "--dmin", "0.0001", "--dmax", "0.001",
+                       "--stream", str(stream)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["matrix-on-coordinates", "record-without-coords"])
+    def test_payloads_the_metric_cannot_read_exit_1(self, case, tmp_path, capsys):
+        """Above PAIRWISE_CHECK_CAP no scan reads every payload before the
+        replay, so the first distance the structure computes meets a payload
+        its metric cannot read; it raises MetricError, not a TypeError."""
+        stream = tmp_path / "s.jsonl"
+        run_cli("gen", "--kind", "sliding", "--n", str(core.PAIRWISE_CHECK_CAP + 100),
+                "--out", str(stream))
+        if case == "matrix-on-coordinates":
+            table = tmp_path / "adv.csv"
+            run_cli("gen", "--kind", "adversarial", "--n", "10", "--out",
+                    str(tmp_path / "adv.jsonl"), "--matrix-out", str(table))
+            argv = ("--algo", "two", "--metric", f"matrix:{table}", "--dmin", "0.01")
+        else:
+            lines = stream.read_text().splitlines()
+            row = json.loads(lines[5])
+            del row["coords"]
+            lines[5] = json.dumps(row)
+            stream.write_text("\n".join(lines) + "\n")
+            argv = ("--algo", "six", "--dmin", "0.001")
+        capsys.readouterr()
+        assert run_cli("run", *argv, "--dmax", "2", "--k", "2", "--epsilon", "1.0",
                        "--stream", str(stream)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from dynkcenter import EuclideanMetric, TimedPoint, random_lifetime_stream
-from dynkcenter.core import LadderClustering
+from dynkcenter.core import GuessLadder, LadderClustering
 from dynkcenter.errors import (
     InvalidBeta,
     InvalidParameter,
@@ -41,6 +41,23 @@ def test_k_below_one_rejected(structure):
 def test_non_finite_epsilon_rejected(structure, epsilon):
     with pytest.raises(InvalidBeta):
         structure(1, epsilon, 1, 4, line_metric())
+
+
+@pytest.mark.parametrize("guesses", [
+    (), (2.0, 1.0), (1.0, math.nan, 4.0), (1.0, math.inf), (-1.0, 1.0),
+], ids=["empty", "decreasing", "nan", "inf", "negative"])
+def test_a_ladder_outside_the_contract_is_rejected(structure, guesses):
+    """A ladder is non-empty, finite, non-negative and strictly increasing,
+    whichever structure it is given to."""
+    with pytest.raises(InvalidParameter):
+        structure(1, 1.0, 1, 4, line_metric(), ladder=GuessLadder(1.0, guesses))
+
+
+def test_a_zero_rung_is_legal(structure):
+    c = structure(1, 1.0, 1, 4, line_metric(), ladder=GuessLadder(1.0, (0.0, 1.0)))
+    for i, x in enumerate((0.0, 0.0), 1):
+        c.update(TimedPoint(i, (x,), i, 10))
+    assert c.query(2).guess_used == 0.0
 
 
 def test_only_the_shell_defines_update_and_query(structure):
