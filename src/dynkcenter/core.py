@@ -16,6 +16,7 @@ import math
 import reprlib
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -318,8 +319,8 @@ class LadderClustering:
         metric: Metric,
         ladder: GuessLadder | None = None,
     ):
-        if k < 1:
-            raise InvalidParameter(f"k must be >= 1, got {k}")
+        if not isinstance(k, Integral) or k < 1:
+            raise InvalidParameter(f"k must be an integer >= 1, got {k!r}")
         if not (0 < epsilon < math.inf):
             raise InvalidBeta(f"epsilon must be positive and finite, got {epsilon}")
         self.k = k
@@ -358,9 +359,9 @@ class LadderClustering:
         return self._answer()
 
     def _advance(self, t, p=None):
-        """Move the clock to t, first checking that time does not run
-        backwards and that an arrival p comes at its own time t, after the
-        previous one."""
+        """Move the clock to t, first checking that t is a number, that time
+        does not run backwards and that an arrival p comes at its own time
+        t, after the previous one."""
         if p is not None:
             if t != p.t_arr:
                 raise InvalidParameter(f"arrival {p.id} at time {t}, not at its t_arr {p.t_arr}")
@@ -368,7 +369,9 @@ class LadderClustering:
                 raise NonMonotoneArrival(f"arrival {p.t_arr} not after {self._last_arrival}")
             if p.t_arr < self._now:
                 raise NonMonotoneArrival(f"arrival {p.t_arr} before time {self._now}")
-        if t < self._now:
+        if not t >= self._now:  # also true for a NaN t
+            if t != t:
+                raise InvalidParameter(f"time {t} is not a number")
             raise PastTime(f"time {t} is before time {self._now}")
         self._now = t
         if p is not None:
@@ -474,33 +477,43 @@ def save_stream_jsonl(points, path):
 def load_stream_jsonl(path):
     points = []
     int_types, number_types = {int}, {int, float}  # a JSON true or false is a bool
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                pid, t_arr, t_del = ints = row["id"], row["t_arr"], row["t_del"]
-                if not int_types.issuperset(map(type, ints)):  # one test in the usual case
-                    if not number_types.issuperset(map(type, ints)):
-                        raise ValueError(f"id and times {ints} must be numbers")
-                    pid, t_arr, t_del = map(int, ints)
-                    if (pid, t_arr, t_del) != ints:
-                        raise ValueError(f"id and times {ints} must be integers")
-                if "coords" in row:
-                    c = row["coords"]
-                    if type(c) is not list or not number_types.issuperset(map(type, c)):
-                        raise ValueError(f"coords {c!r} is not an array of numbers")
-                    payload = tuple(map(float, c))
-                    if not all(map(math.isfinite, payload)):
-                        raise ValueError("non-finite coordinate")
-                else:
-                    payload = pid
-                point = TimedPoint(pid, payload, t_arr, t_del)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
-            points.append(point)
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                    pid, t_arr, t_del = ints = row["id"], row["t_arr"], row["t_del"]
+                    if not int_types.issuperset(map(type, ints)):  # one test in the usual case
+                        if not number_types.issuperset(map(type, ints)):
+                            raise ValueError(f"id and times {ints} must be numbers")
+                        pid, t_arr, t_del = map(int, ints)
+                        if (pid, t_arr, t_del) != ints:
+                            raise ValueError(f"id and times {ints} must be integers")
+                    if "coords" in row:
+                        c = row["coords"]
+                        if type(c) is not list or not number_types.issuperset(map(type, c)):
+                            raise ValueError(f"coords {c!r} is not an array of numbers")
+                        payload = tuple(map(float, c))
+                        if not all(map(math.isfinite, payload)):
+                            raise ValueError("non-finite coordinate")
+                    else:
+                        payload = pid
+                    point = TimedPoint(pid, payload, t_arr, t_del)
+                except (KeyError, TypeError, ValueError, OverflowError) as e:
+                    raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
+                points.append(point)
+    except UnicodeDecodeError:
+        # Text is decoded a chunk at a time, so find the line that fails.
+        with open(path, "rb") as f:
+            for lineno, line in enumerate(f, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
+        raise
     return points
 
 

@@ -15,10 +15,11 @@ ENUMERATION_CAP = 16
 
 @dataclass
 class Solution:
-    """A center set with its radius over the evaluated point set."""
+    """Centers and the guess they were found at. `radius` is 0.0 with no
+    centers, else `exact_kcenter`'s optimum, or None where the caller measures it."""
 
     centers: list
-    radius: float
+    radius: float | None
     guess_used: float | None = None
 
     @property
@@ -67,7 +68,7 @@ def greedy_cover(metric: Metric, points, threshold: float, k: int):
 
     Returns None as soon as more than k centers would be needed (a signal
     that no k-cover at this threshold exists, not a failure); otherwise the
-    selected centers with their radius over the scanned points.
+    selected centers. A yes/no threshold test, so it measures no radius.
     """
     centers = []
     for q in points:
@@ -75,6 +76,4 @@ def greedy_cover(metric: Metric, points, threshold: float, k: int):
             centers.append(q)
             if len(centers) > k:
                 return None
-    if not centers:
-        return Solution([], 0.0)
-    return Solution(centers, radius(metric, centers, points))
+    return Solution(centers, None if centers else 0.0)

@@ -16,7 +16,7 @@ from .core import (
     Metric,
     TimedPoint,
 )
-from .errors import InvalidH, InvalidParameter
+from .errors import InvalidH, InvalidParameter, StreamError
 
 
 @dataclass
@@ -128,12 +128,16 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
 
 def measure_h(stream: EventStream) -> int:
     """Smallest H such that the stream is H-ordered, in O(n log n) time and
-    O(n) memory. Deletion ties resolve by (t_del, t_arr)."""
+    O(n) memory. Deletion ties resolve by (t_del, t_arr). A time outside
+    the signed 64-bit range raises StreamError."""
     n = len(stream.points)
     if n < 2:
         return 0
-    t_arr = np.fromiter((p.t_arr for p in stream.points), dtype=np.int64, count=n)
-    t_del = np.fromiter((p.t_del for p in stream.points), dtype=np.int64, count=n)
+    try:
+        t_arr = np.fromiter((p.t_arr for p in stream.points), dtype=np.int64, count=n)
+        t_del = np.fromiter((p.t_del for p in stream.points), dtype=np.int64, count=n)
+    except OverflowError as e:
+        raise StreamError(f"a time outside the signed 64-bit range: {e}") from e
     arrival = np.argsort(t_arr, kind="stable")
     t_arr, t_del = t_arr[arrival], t_del[arrival]
     # Rank in (t_del, t_arr) order, equal keys sharing a rank; ranks are

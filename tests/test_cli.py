@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -267,6 +268,28 @@ class TestTypedErrors:
                        "--stream", str(stream)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["not-utf8", "int-beyond-int64", "float-beyond-int64"])
+    def test_records_the_replay_cannot_read_exit_1(self, case, tmp_path, capsys):
+        """A byte that is not UTF-8 far past the first chunk the file is
+        decoded in is named by its line; a time beyond the signed 64-bit
+        range, which `measure_h` reads, is a typed error too."""
+        stream = tmp_path / "s.jsonl"
+        run_cli("gen", "--kind", "sliding", "--n", "300", "--out", str(stream))
+        lines = stream.read_bytes().splitlines()
+        if case == "not-utf8":
+            lines[249] = lines[249].replace(b'"id"', b'"id\xff"')
+        else:
+            big = b"100000000000000000000" if case == "int-beyond-int64" else b"1e20"
+            lines[249] = re.sub(rb'"t_del": \d+', b'"t_del": ' + big, lines[249])
+        stream.write_bytes(b"\n".join(lines) + b"\n")
+        capsys.readouterr()
+        assert run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1.0", "--dmin",
+                       "0.001", "--dmax", "2", "--stream", str(stream)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        if case == "not-utf8":
+            assert "line 250" in err
 
     @pytest.mark.parametrize("case", ["matrix-on-coordinates", "record-without-coords"])
     def test_payloads_the_metric_cannot_read_exit_1(self, case, tmp_path, capsys):

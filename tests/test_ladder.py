@@ -37,6 +37,14 @@ def test_k_below_one_rejected(structure):
         structure(0, 1.0, 1, 4, line_metric())
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, "3"])
+def test_k_that_is_not_an_integer_rejected(structure, k):
+    """A fractional k would never fill (6+eps)'s k + 2 attractors, so it
+    would never evict, and (2+eps) would meet it in a raw TypeError."""
+    with pytest.raises(InvalidParameter):
+        structure(k, 1.0, 1, 4, line_metric())
+
+
 @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
 def test_non_finite_epsilon_rejected(structure, epsilon):
     with pytest.raises(InvalidBeta):
@@ -106,6 +114,19 @@ def test_query_before_last_query_raises(structure):
     c.query(5)
     with pytest.raises(PastTime):
         c.query(4)
+
+
+def test_nan_time_rejected_and_clock_kept(structure):
+    """NaN compares false with every time, so it must not pass for a time
+    after the clock and then let a past time through."""
+    c = structure(1, 6.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 5, 10))
+    for step in (c.query, lambda t: c.update(None, t)):
+        with pytest.raises(InvalidParameter):
+            step(math.nan)
+    with pytest.raises(PastTime):
+        c.query(-100)
+    assert c.query(5).center_ids == [1]
 
 
 def test_arrival_before_last_query_raises(structure):

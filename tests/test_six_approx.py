@@ -120,7 +120,21 @@ class TestQuery:
         c = SixApproxClustering(2, 3.0, 1, 4, line_metric())
         c.update(TimedPoint(1, (0.0,), 1, 10))
         sol = c.query(1)
-        assert sol.center_ids == [1] and sol.radius == 0.0
+        assert sol.center_ids == [1] and sol.radius is None
+
+    def test_query_adds_only_its_cover_scan_evals(self):
+        """The answer measures no radius. At gamma 1, attractor 1 at 0 is
+        represented by 2 at 1.5 and attractor 3 at 3 by itself; one center
+        covers both representatives, so the query adds the cover's one
+        test, d(3, 2) <= 2 * gamma, and no radius pass."""
+        c = SixApproxClustering(2, 6.0, 1, 4, line_metric())
+        for i, x in enumerate((0.0, 1.5, 3.0), 1):
+            c.update(TimedPoint(i, (x,), i, 10 * i))
+        assert sorted(q.id for q in c.states[0].reps()) == [2, 3]
+        evals = c.metric.evals
+        sol = c.query(3)
+        assert sol.center_ids == [2] and sol.guess_used == 1.0
+        assert c.metric.evals == evals + 1 and sol.radius is None
 
     def test_empty_after_purge(self):
         c = SixApproxClustering(1, 6.0, 1, 4, line_metric())
