@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 invariant or verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import core, oracle, runner, streamgen
@@ -99,16 +100,21 @@ def _int_list(flag, text):
         raise InvalidParameter(f"bad {flag} value {text!r}: not a comma list of integers") from None
 
 
-def _cmd_gen(args):
+def _generate(args, n):
+    """The seeded stream that `--kind` names, at size n."""
     if args.kind == "sliding":
-        coords, _ = streamgen.uniform_coords(args.n, args.dim, args.seed)
-        gen = streamgen.sliding_window_stream(coords, args.window)
-    elif args.kind == "random":
-        gen = streamgen.random_lifetime_stream(args.n, args.dim, args.max_life, args.seed)
-    elif args.kind == "hbounded":
-        gen = streamgen.h_bounded_stream(args.n, args.h, args.dim, args.seed)
-    else:
-        gen = streamgen.adversarial_quadratic_stream(args.n, args.gamma)
+        coords, _ = streamgen.uniform_coords(n, args.dim, args.seed)
+        return streamgen.sliding_window_stream(coords, args.window)
+    if args.kind == "random":
+        return streamgen.random_lifetime_stream(n, args.dim, args.max_life, args.seed)
+    if args.kind == "hbounded":
+        return streamgen.h_bounded_stream(n, args.h, args.dim, args.seed)
+    return streamgen.adversarial_quadratic_stream(n, args.gamma)
+
+
+def _cmd_gen(args):
+    gen = _generate(args, args.n)
+    if args.kind == "adversarial":
         matrix_out = args.matrix_out or args.out + ".matrix.csv"
         core.save_matrix_csv(gen.metric.table, matrix_out)
         print(f"wrote matrix sidecar to {matrix_out}")
@@ -124,21 +130,16 @@ def _cmd_gen(args):
 def _cmd_run(args, verify):
     points = core.load_stream_jsonl(args.stream)
     metric = _load_metric(args, points)
-    cap = core.PAIRWISE_CHECK_CAP
-    if args.prescan:
-        d_min, d_max = core.pairwise_extremes(metric.clone(), points)
-        cap = 0  # bounds taken from the stream cannot fail the pairwise check
-    else:
-        if args.dmin is None or args.dmax is None:
-            raise DynKCenterError("supply --dmin/--dmax or use --prescan")
-        d_min, d_max = args.dmin, args.dmax
-    stream = core.validate_stream(points, metric.clone(), d_min, d_max, cap)
+    if not args.prescan and (args.dmin is None or args.dmax is None):
+        raise DynKCenterError("supply --dmin/--dmax or use --prescan")
+    bounds = () if args.prescan else (args.dmin, args.dmax)
+    stream = core.validate_stream(points, metric, *bounds)
     config = runner.RunConfig(
         algorithm=args.algo,
         k=args.k,
         epsilon=args.epsilon,
-        d_min=d_min,
-        d_max=d_max,
+        d_min=stream.d_min,
+        d_max=stream.d_max,
         queries=_parse_queries(args.queries),
         verify=verify,
         reclustering_enabled=not args.no_reclustering,
@@ -175,13 +176,7 @@ def _cmd_bench(args):
         reclustering_enabled=not args.no_reclustering,
         single_gamma=args.gamma if adversarial else None,
     )
-    if adversarial:
-        make = lambda n: streamgen.adversarial_quadratic_stream(n, args.gamma)
-    else:
-        make = lambda n: streamgen.random_lifetime_stream(
-            n, args.dim, args.max_life, args.seed
-        )
-    rows = runner.bench(make, config, sizes)
+    rows = runner.bench(functools.partial(_generate, args), config, sizes)
     print("n,structural_ops,distance_evals,wall_time,peak_stored,growth_ratio")
     for row in rows:
         print(

@@ -95,12 +95,15 @@ class Metric:
         """(min, max) distance over all pairs of `points`.
 
         Counts n(n-1)/2 evaluations, one per pair, whichever backend scans.
-        Raises TooFewPoints below two points.
+        Raises TooFewPoints below two points, MetricError as `distance` does.
         """
         n = len(points)
         if n < 2:
             raise TooFewPoints("need at least two points")
-        lo, hi = self._extremes(points)
+        try:
+            lo, hi = self._extremes(points)
+        except (TypeError, IndexError, ValueError) as e:
+            raise MetricError(f"cannot measure the pairwise distances: {e}") from e
         self.evals += n * (n - 1) // 2
         return lo, hi
 
@@ -141,10 +144,7 @@ class EuclideanMetric(Metric):
         return math.sqrt(s)
 
     def _extremes(self, points):
-        try:
-            x = np.array([p.payload for p in points], dtype=float)
-        except (TypeError, ValueError) as e:
-            raise MetricError(f"payloads are not {self.dim}-dimensional coordinates") from e
+        x = np.array([p.payload for p in points], dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise MetricError("payload dimension mismatch")
 
@@ -402,7 +402,7 @@ class DeletionQueue:
 
 @dataclass
 class EventStream:
-    """Arrival-ordered points plus the user-declared distance bounds."""
+    """Arrival-ordered points plus their distance bounds, declared or measured."""
 
     points: list
     d_min: float
@@ -412,17 +412,20 @@ class EventStream:
 def validate_stream(
     points,
     metric: Metric,
-    d_min: float,
-    d_max: float,
+    d_min: float | None = None,
+    d_max: float | None = None,
     pairwise_cap: int = PAIRWISE_CHECK_CAP,
 ) -> EventStream:
-    """Check lifetimes, id and arrival uniqueness and (for small n) distance
-    bounds.
+    """Check lifetimes and id and arrival uniqueness, and decide the
+    stream's distance bounds; points are returned sorted by arrival time.
 
-    Points are returned sorted by arrival time. The O(n^2) bound check only
-    runs when len(points) <= pairwise_cap; pass 0 to disable it. It counts
-    its evaluations on a clone, not on `metric`.
+    With no bounds, one `Metric.extremes` scan measures them, (1.0, 1.0)
+    below two points. With both, the same scan checks them, but only when
+    len(points) <= pairwise_cap; pass 0 to disable it. Exactly one bound
+    raises InvalidBounds. Scans count on a clone, not on `metric`.
     """
+    if (d_min is None) != (d_max is None):
+        raise InvalidBounds("give both distance bounds or neither")
     pts = sorted(points, key=lambda p: p.t_arr)
     arrivals, ids = set(), set()
     for p in pts:
@@ -434,7 +437,9 @@ def validate_stream(
             raise DuplicateId(f"point id {p.id} used twice")
         arrivals.add(p.t_arr)
         ids.add(p.id)
-    if 2 <= len(pts) <= pairwise_cap:
+    if d_min is None:
+        d_min, d_max = metric.clone().extremes(pts) if len(pts) >= 2 else (1.0, 1.0)
+    elif 2 <= len(pts) <= pairwise_cap:
         lo, hi = metric.clone().extremes(pts)
         if not (d_min <= lo and hi <= d_max):
             raise DistanceOutOfRange(

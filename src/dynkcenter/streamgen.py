@@ -1,7 +1,8 @@
 """Seeded generators of lifetime-annotated streams, plus the exact
 measurer of deletion-order tameness (the smallest H such that any two
 points separated by at least H intervening arrivals are deleted in arrival
-order)."""
+order). A coordinate stream's distance bounds are measured by
+`validate_stream`; the adversarial stream declares its own."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .core import (
     MatrixMetric,
     Metric,
     TimedPoint,
+    validate_stream,
 )
 from .errors import InvalidH, InvalidParameter, StreamError
 
@@ -43,9 +45,7 @@ def _euclidean_stream(coords, t_arrs, t_dels, declared_h):
         for i in range(len(coords))
     ]
     metric = EuclideanMetric(coords.shape[1])
-    # Bounds on a clone: the returned metric's counter starts at zero.
-    d_min, d_max = metric.clone().extremes(points) if len(points) >= 2 else (1.0, 1.0)
-    return GeneratedStream(EventStream(points, d_min, d_max), metric, declared_h)
+    return GeneratedStream(validate_stream(points, metric), metric, declared_h)
 
 
 def sliding_window_stream(payloads, window: int) -> GeneratedStream:

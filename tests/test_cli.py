@@ -86,6 +86,17 @@ class TestRunVerify:
                        "--prescan", "--stream", str(stream)) == 0
         assert calls == [20]
 
+    @pytest.mark.parametrize("algo", ["two", "six"])
+    def test_prescan_of_a_one_point_stream(self, algo, tmp_path, capsys):
+        """A lone point has no pair to scan; it takes the bounds (1.0, 1.0)
+        its generator gives it, and its own cluster has radius 0."""
+        stream = tmp_path / "one.jsonl"
+        run_cli("gen", "--kind", "random", "--n", "1", "--out", str(stream))
+        capsys.readouterr()
+        assert run_cli("run", "--algo", algo, "--k", "2", "--epsilon", "1",
+                       "--prescan", "--stream", str(stream)) == 0
+        assert "t=1 active=1 radius=0.0 " in capsys.readouterr().out
+
     def test_run_requires_bounds(self, stream_path, capsys):
         rc = run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1.0",
                      "--stream", str(stream_path))
@@ -314,5 +325,28 @@ class TestTypedErrors:
         capsys.readouterr()
         assert run_cli("run", *argv, "--dmax", "2", "--k", "2", "--epsilon", "1.0",
                        "--stream", str(stream)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("bounds", [("--prescan",), ("--dmin", "0.01", "--dmax", "2")],
+                             ids=["prescan", "declared"])
+    def test_pair_scan_meets_a_payload_the_metric_cannot_read_exit_1(
+        self, bounds, tmp_path, capsys
+    ):
+        """At most PAIRWISE_CHECK_CAP points, the scan that measures or checks
+        the bounds reads every payload first; a record without coordinates
+        among coordinate records under a matrix metric is a MetricError."""
+        stream, table = tmp_path / "s.jsonl", tmp_path / "adv.csv"
+        run_cli("gen", "--kind", "adversarial", "--n", "10", "--out",
+                str(tmp_path / "adv.jsonl"), "--matrix-out", str(table))
+        run_cli("gen", "--kind", "sliding", "--n", "30", "--out", str(stream))
+        lines = stream.read_text().splitlines()
+        row = json.loads(lines[5])
+        del row["coords"]
+        lines[5] = json.dumps(row)
+        stream.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1", *bounds,
+                       "--metric", f"matrix:{table}", "--stream", str(stream)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err

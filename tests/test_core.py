@@ -11,7 +11,9 @@ from dynkcenter import (
     Metric,
     TimedPoint,
     build_guess_ladder,
+    h_bounded_stream,
     random_lifetime_stream,
+    sliding_window_stream,
     validate_stream,
 )
 from dynkcenter.core import (
@@ -35,6 +37,7 @@ from dynkcenter.errors import (
     MetricError,
     TooFewPoints,
 )
+from dynkcenter.streamgen import uniform_coords
 from conftest import line_metric, line_points
 
 
@@ -180,6 +183,28 @@ class TestValidateStream:
         pts = line_points([(1, 0, 1, 9), (2, 5, 2, 9), (3, 100, 3, 9), (4, 0.5, 4, 9)])
         with pytest.raises(DistanceOutOfRange, match=r"d\(1,3\)=100\.0"):
             validate_stream(pts, line_metric(), 0.5, 10)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: sliding_window_stream(uniform_coords(n, 2, 5)[0], 4),
+        lambda n: random_lifetime_stream(n, 3, 20, 5),
+        lambda n: h_bounded_stream(n, n // 2, 2, 5),
+    ], ids=["sliding", "random", "hbounded"])
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_without_bounds_measures_the_generators_bounds(self, make, n):
+        gen = make(n)
+        metric = gen.metric.clone()
+        metric.evals = 7
+        stream = validate_stream(gen.stream.points[::-1], metric)
+        assert (stream.d_min, stream.d_max) == (gen.stream.d_min, gen.stream.d_max)
+        assert stream.points == gen.stream.points
+        assert metric.evals == 7
+
+    @pytest.mark.parametrize("bounds", [{"d_min": 1}, {"d_max": 10},
+                                        {"d_min": 1, "d_max": None}])
+    def test_exactly_one_bound_rejected(self, bounds):
+        pts = line_points([(1, 0, 1, 9), (2, 5, 2, 9)])
+        with pytest.raises(InvalidBounds):
+            validate_stream(pts, line_metric(), **bounds)
 
     def test_counts_on_its_own_clone(self):
         metric = line_metric()
@@ -336,6 +361,11 @@ class TestExtremes:
             MatrixMetric([[0, 1], [1, 0]]).extremes(pts)
         with pytest.raises(IndexOutOfRange):
             MatrixMetric([[0, 1], [1, 0]]).extremes([pts[0], TimedPoint(1, -1, 2, 3)])
+
+    def test_unreadable_payload_in_the_base_scan_is_a_metric_error(self):
+        pts = [TimedPoint(0, (1.0,), 1, 2), TimedPoint(1, (2.0,), 2, 3)]
+        with pytest.raises(MetricError):
+            LineMetric().extremes(pts)
 
     def test_euclidean_dimension_mismatch(self):
         with pytest.raises(MetricError):
