@@ -128,6 +128,8 @@ def _cmd_gen(args):
 
 
 def _cmd_run(args, verify):
+    if args.prescan and (args.dmin is not None or args.dmax is not None):
+        raise InvalidParameter("--prescan measures the bounds; it takes no --dmin/--dmax")
     points = core.load_stream_jsonl(args.stream)
     metric = _load_metric(args, points)
     if not args.prescan and (args.dmin is None or args.dmax is None):

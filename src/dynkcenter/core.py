@@ -480,7 +480,11 @@ def save_stream_jsonl(points, path):
 
 
 def load_stream_jsonl(path):
+    """The points of a JSONL stream file. Every record carries `coords`, or
+    none does and a point's id is its matrix row; a record unlike the first,
+    or unreadable, is a MalformedRecord naming the file and line."""
     points = []
+    coords = None  # whether the records carry coords, as the first one says
     int_types, number_types = {int}, {int, float}  # a JSON true or false is a bool
     try:
         with open(path, encoding="utf-8") as f:
@@ -497,7 +501,12 @@ def load_stream_jsonl(path):
                         pid, t_arr, t_del = map(int, ints)
                         if (pid, t_arr, t_del) != ints:
                             raise ValueError(f"id and times {ints} must be integers")
-                    if "coords" in row:
+                    if coords is None:
+                        coords = "coords" in row
+                    elif ("coords" in row) != coords:
+                        raise ValueError(f"point {pid} {'lacks' if coords else 'has'} "
+                                         "coords, unlike the first record")
+                    if coords:
                         c = row["coords"]
                         if type(c) is not list or not number_types.issuperset(map(type, c)):
                             raise ValueError(f"coords {c!r} is not an array of numbers")

@@ -9,11 +9,23 @@ deletion finds the owner with at most k+1 membership tests. A global expiry
 queue drives deletions; a size-balance rule triggers suffix reclustering so
 that reassignment work stays amortized O(k) per update.
 
-Two routines do all the placing. `_place` is first-fit: insertion and
-center-deletion reassignment call it. `_open_longest_lived` opens a cluster
-at the longest-lived point of a pool and attaches the pool points within
-2*gamma of it: center-deletion promotion and every reclustering round
-call it.
+An update is one pass over the rungs. An arrival computes d(p, center)
+once per center and places p first-fit on every rung inline; an expiry
+removes the point inline, and only a center's deletion calls out, to
+`_delete_center`: it reassigns first-fit with `_place` and promotes with
+`_open_longest_lived`, which opens a cluster at a pool's longest-lived
+point and attaches the pool points within 2*gamma of it. Every
+reclustering round calls it too.
+
+Balance: no suffix of clusters has more persistent than vanishing plus
+unclustered points. `_recluster` rebuilds from the first cluster whose
+suffix breaks this and leaves none broken: for a suffix starting before it,
+the clusters in between had sum(persistent - vanishing) < 0, and no cluster
+it opens has a persistent point. So of an arrival's changes only a persistent
+attach can break a suffix and run the scan. An expiry scans only while the
+rung's clustered non-centers, the only points that can be persistent,
+outnumber its unclustered points plus one vanishing center. Elsewhere the
+update counts the scan's len(clusters) ops without scanning.
 
 Neighbouring rungs test many of the same pairs, so each update memoises
 d(x, y) by the pair of point ids and computes every pair once. Every test
@@ -43,13 +55,15 @@ class _Points(dict):
 
 
 class _Cluster:
-    __slots__ = ("center", "members", "persistent", "vanishing")
+    # The center is its own first member, a vanishing one.
+    __slots__ = ("center", "key", "members", "persistent", "vanishing")
 
     def __init__(self, center):
         self.center = center
-        self.members = _Points()
+        self.key = deletion_key(center)
+        self.members = _Points({center.id: center})
         self.persistent = 0
-        self.vanishing = 0
+        self.vanishing = 1
 
 
 class TwoApproxGuessState:
@@ -100,29 +114,87 @@ class TwoApproxClustering(LadderClustering):
     # -- update ------------------------------------------------------------
 
     def _arrive(self, p):
+        """First-fit on every rung in one pass; only a persistent attach
+        runs the balance scan. See the module docstring."""
         self._memo.clear()
+        k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
+        dist = {}  # center id -> d(p, center), computed once per arrival
+        tests = 0  # each one op and one evaluation
+        ops = 1  # the queue push
         for st in self.states:
-            self._place(st, p, st.clusters)
-            self._recluster(st)
+            two_g = 2.0 * st.gamma
+            clusters = st.clusters
+            ops += 1  # the attach, the opening or the unclustered point
+            for cl in clusters:
+                tests += 1
+                c = cl.center
+                d = dist.get(c.id)
+                if d is None:
+                    d = dist[c.id] = self._dist(p, c)
+                if d <= two_g:
+                    cl.members[pid] = p
+                    if key > cl.key:
+                        cl.persistent += 1
+                        self._recluster(st)
+                        break
+                    cl.vanishing += 1
+                    if scan:
+                        ops += len(clusters)
+                    break
+            else:
+                if len(clusters) < k:
+                    clusters.append(_Cluster(p))
+                else:
+                    st.unclustered[pid] = p
+                if scan:
+                    ops += len(clusters)
         self.queue.push(p)
-        self.ops += 1
+        self.ops += ops + tests
+        self.metric.evals += tests - len(dist)  # `_dist` counted the first of each
         # Only an arrival grows the stored set, so only here can the peak rise.
         self.peak_stored = max(self.peak_stored, self.stored_points())
 
     def _expire(self, t):
-        """Delete every stored point with t_del <= t, on every rung. Any
-        move of the clock ends the last query's witness."""
+        """Delete every stored point with t_del <= t, on every rung, in one
+        pass per point. Any move of the clock ends the last query's witness."""
         self._last_query_index = None
-        key = self.queue.peek_key()
-        if key is None or key[0] > t:
+        head = self.queue.peek_key()
+        if head is None or head[0] > t:
             return
         self._memo.clear()
-        while key is not None and key[0] <= t:
+        scan = self.reclustering_enabled
+        while head is not None and head[0] <= t:
             q = self.queue.pop()
-            self.ops += 1
+            qid, key = q.id, deletion_key(q)
+            n = len(self.queue)  # what every rung holds once q is gone
+            ops = 1  # the queue pop
             for st in self.states:
-                self._delete_guess(st, q)
-            key = self.queue.peek_key()
+                # The unclustered set first: it holds most points of the low rungs.
+                if st.unclustered.pop(qid, None) is not None:
+                    ops += 1
+                else:
+                    for cl in st.clusters:
+                        if qid in cl.members:
+                            break
+                    else:
+                        raise PointNotFound(f"point {qid} not stored for guess {st.gamma}")
+                    if cl.center.id == qid:
+                        self._delete_center(st, cl, q)
+                    else:
+                        del cl.members[qid]
+                        ops += 1
+                        if key <= cl.key:
+                            cl.vanishing -= 1
+                        else:
+                            cl.persistent -= 1
+                # A suffix breaks balance only if its persistent points, at
+                # most n - |U| - l, outnumber its vanishing center and U.
+                if n - len(st.clusters) - 1 > 2 * len(st.unclustered):
+                    self._recluster(st)
+                elif scan:
+                    ops += len(st.clusters)
+            self.ops += ops
+            head = self.queue.peek_key()
 
     def _dist(self, x, y) -> float:
         """d(x, y), computed once per update and counted once per test."""
@@ -145,35 +217,27 @@ class TwoApproxClustering(LadderClustering):
                 self._attach(cl, x)
                 return
         if len(st.clusters) < self.k:
-            self._open_cluster(st, x)
+            st.clusters.append(_Cluster(x))
         else:
-            self._leave_unclustered(st, x)
-
-    def _leave_unclustered(self, st, p):
-        st.unclustered[p.id] = p
+            st.unclustered[x.id] = x
         self.ops += 1
 
     def _attach(self, cl: _Cluster, p):
         cl.members[p.id] = p
-        if deletion_key(p) <= deletion_key(cl.center):
+        if deletion_key(p) <= cl.key:
             cl.vanishing += 1
         else:
             cl.persistent += 1
         self.ops += 1
 
-    def _open_cluster(self, st, p) -> _Cluster:
-        cl = _Cluster(p)
-        st.clusters.append(cl)
-        self._attach(cl, p)  # the center expires no later than itself: vanishing
-        return cl
-
     def _open_longest_lived(self, st, pool) -> list:
         """Open a cluster at the pool's longest-lived point (the first one
         on ties) and attach every other pool point within 2*gamma of it.
         Returns the points left over, in pool order."""
-        self.ops += len(pool)
+        self.ops += len(pool) + 1  # the scan for best, then its opening
         best = max(pool, key=deletion_key)
-        cl = self._open_cluster(st, best)
+        cl = _Cluster(best)
+        st.clusters.append(cl)
         two_g = 2.0 * st.gamma
         rest = []
         for x in pool:
@@ -186,40 +250,20 @@ class TwoApproxClustering(LadderClustering):
                 rest.append(x)
         return rest
 
-    def _delete_guess(self, st: TwoApproxGuessState, p):
-        # The unclustered set first: it holds most points of the low rungs.
-        if st.unclustered.pop(p.id, None) is not None:
-            self.ops += 1
-        else:
-            for cl in st.clusters:
-                if p.id in cl.members:
-                    break
-            else:
-                raise PointNotFound(f"point {p.id} not stored for guess {st.gamma}")
-            if cl.center.id != p.id:
-                cl.members.remove(p)
-                if deletion_key(p) <= deletion_key(cl.center):
-                    cl.vanishing -= 1
-                else:
-                    cl.persistent -= 1
-                self.ops += 1
-            else:
-                # Center deletion: reassign the remaining members to
-                # higher-index clusters (or new clusters / the unclustered
-                # set), drop cluster i, then promote the longest-lived
-                # unclustered point, if any.
-                i = st.clusters.index(cl)
-                self.ops += 1
-                cl.members.remove(p)
-                self.ops += 1
-                for x in cl.members:
-                    self._place(st, x, st.clusters[i + 1 :])
-                del st.clusters[i]
-                self.ops += 1
-                if st.unclustered:
-                    rest = self._open_longest_lived(st, st.unclustered)
-                    st.unclustered = _Points((x.id, x) for x in rest)
-        self._recluster(st)
+    def _delete_center(self, st: TwoApproxGuessState, cl: _Cluster, q):
+        """Reassign the members of center q's cluster first-fit to later or
+        new clusters, or the unclustered set; drop the cluster; then promote
+        the longest-lived unclustered point, if any."""
+        i = st.clusters.index(cl)
+        del cl.members[q.id]
+        self.ops += 2  # finding the cluster, then removing q
+        for x in cl.members:
+            self._place(st, x, st.clusters[i + 1 :])
+        del st.clusters[i]
+        self.ops += 1
+        if st.unclustered:
+            rest = self._open_longest_lived(st, st.unclustered)
+            st.unclustered = _Points((x.id, x) for x in rest)
 
     def _recluster(self, st: TwoApproxGuessState):
         if not self.reclustering_enabled:
@@ -243,27 +287,26 @@ class TwoApproxClustering(LadderClustering):
         pool += st.unclustered
         self.ops += len(pool)
         del st.clusters[trigger:]
-        st.unclustered = _Points()
-
         for _ in range(trigger, self.k):
             if not pool:
                 break
             pool = self._open_longest_lived(st, pool)
-        for x in pool:
-            self._leave_unclustered(st, x)
+        st.unclustered = _Points((x.id, x) for x in pool)
+        self.ops += len(pool)
 
     # -- query -------------------------------------------------------------
 
     def _answer(self) -> Solution:
         """Centers of the smallest guess with an empty unclustered set."""
         for idx, st in enumerate(self.states):
-            self.ops += 1
             if not st.unclustered:
+                self.ops += idx + 1  # one per rung scanned
                 self._last_query_index = idx
                 centers = [cl.center for cl in st.clusters]
                 return Solution(
                     centers, 0.0 if not centers else None, guess_used=st.gamma
                 )
+        self.ops += len(self.states)
         raise NoFeasibleGuess("unclustered points remain at every guess")
 
     def witness(self):

@@ -350,3 +350,17 @@ class TestTypedErrors:
                        "--metric", f"matrix:{table}", "--stream", str(stream)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("bounds", [("--dmin", "5", "--dmax", "6"), ("--dmin", "5"),
+                                        ("--dmax", "6")], ids=["both", "dmin", "dmax"])
+    def test_prescan_with_declared_bounds_exit_1(self, command, bounds, tmp_path, capsys):
+        """--prescan measures the bounds, so declared ones beside it would be
+        dropped without notice; the combination is rejected instead."""
+        stream = tmp_path / "s.jsonl"
+        run_cli("gen", "--kind", "random", "--n", "600", "--out", str(stream))
+        capsys.readouterr()
+        assert run_cli(command, "--algo", "two", "--k", "2", "--epsilon", "1", "--prescan",
+                       *bounds, "--stream", str(stream)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--prescan" in err and "Traceback" not in err

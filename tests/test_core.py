@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -268,6 +269,23 @@ def test_jsonl_matrix_payload(tmp_path):
     path = tmp_path / "s.jsonl"
     save_stream_jsonl(pts, path)
     assert load_stream_jsonl(path) == pts
+
+
+@pytest.mark.parametrize("payloads, bad", [
+    ([(0.5, 0.5)] * 5 + [None] + [(0.25, 0.75)] * 4, 5),
+    ([None] * 2 + [(0.5, 0.5)] + [None] * 3, 2),
+], ids=["record-without-coords", "record-with-coords"])
+def test_jsonl_record_unlike_the_first_is_malformed(payloads, bad, tmp_path):
+    """Every record carries coords or none does: a record that differs from
+    the first is named by its line and point, before any metric reads it."""
+    path = tmp_path / "s.jsonl"
+    rows = [{"id": i, "t_arr": i + 1, "t_del": i + 9} for i in range(len(payloads))]
+    for row, c in zip(rows, payloads):
+        if c is not None:
+            row["coords"] = list(c)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(MalformedRecord, match=rf"s\.jsonl line {bad + 1}: .*point {bad} "):
+        load_stream_jsonl(path)
 
 
 def scalar_extremes(metric, points):

@@ -1,0 +1,178 @@
+"""Sameness across commits: per-update digests of seeded replays of both
+structures, checked against `replay_digests.json`.
+
+Each digest hashes what an update leaves observable: every rung's state,
+`ops`, `evals`, `stored_points()`, the peaks and, where the update is
+followed by a query, the answer's rung index, center ids, witness ids and
+its radius over the active set as the report writes it (`runner._fmt`).
+Raw distances are never hashed, so the file does not depend on how a
+platform rounds the last bit of a float that no test can observe.
+
+A change that alters results on purpose regenerates the file and says
+which replays changed and why:
+
+    PYTHONPATH=src python tests/test_replay_digests.py          # regenerate
+    PYTHONPATH=src python tests/test_replay_digests.py --check  # compare
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+
+from dynkcenter import (
+    SixApproxClustering,
+    TwoApproxClustering,
+    h_bounded_stream,
+    random_lifetime_stream,
+    sliding_window_stream,
+)
+from dynkcenter.errors import NoFeasibleGuess
+from dynkcenter.oracle import radius
+from dynkcenter.runner import _fmt
+from dynkcenter.streamgen import uniform_coords
+from test_two_approx import rung_state
+
+DIGESTS = pathlib.Path(__file__).with_name("replay_digests.json")
+N_CASES = 150
+
+
+def case(seed):
+    """The replay a seed names: its structure, stream, k, epsilon and
+    whether (2+eps) reclusters; together the seeds cover every combination
+    of structure and stream kind, and k = 1..4 with each epsilon."""
+    algo = "six" if seed % 3 == 2 else "two"
+    kind = ("random", "sliding", "hbounded")[seed // 3 % 3]
+    k = 1 + seed % 4
+    epsilon = (0.5, 1.0, 2.0)[seed // 9 % 3]
+    reclustering = algo == "two" and seed // 27 % 2 == 0
+    n = 12 + seed * 7 % 29
+    dim = 1 + seed % 2
+    name = f"{seed}-{algo}-{kind}-n{n}-k{k}-e{epsilon}" + ("-rc" if reclustering else "")
+    return name, algo, kind, n, dim, k, epsilon, reclustering
+
+
+def _stream(kind, n, dim, seed):
+    if kind == "random":
+        return random_lifetime_stream(n, dim, 2 + seed % 11, seed)
+    if kind == "sliding":
+        return sliding_window_stream(uniform_coords(n, dim, seed)[0], 2 + seed % 9)
+    return h_bounded_stream(n, seed % 6, dim, seed)
+
+
+def _two_state(c):
+    return [rung_state(st) for st in c.states]
+
+
+def _six_state(c):
+    """Per rung, the attractor, representative and orphan ids."""
+    return [
+        ([(a.point.id, a.rep.id) for a in st.attractors], sorted(st.orphans))
+        for st in c.states
+    ] + [c.peak_per_guess]
+
+
+def replay_digest(seed):
+    """The case's name and one 12-hex-digit digest per update.
+
+    Arrivals come in order; every third one is preceded by a clock-only
+    update to its own time, which does the expiry on its own; a query
+    follows every update whose index is a multiple of 1 + seed % 3. After
+    the last arrival the clock moves on in steps of 3 until every point
+    has expired.
+    """
+    name, algo, kind, n, dim, k, epsilon, reclustering = case(seed)
+    gen = _stream(kind, n, dim, seed)
+    s = gen.stream
+    if algo == "two":
+        c = TwoApproxClustering(k, epsilon, s.d_min, s.d_max, gen.metric.clone(), reclustering)
+        state = _two_state
+    else:
+        c = SixApproxClustering(k, epsilon, s.d_min, s.d_max, gen.metric.clone())
+        state = _six_state
+    oracle_metric = gen.metric.clone()
+    gammas = list(c.ladder)
+    every = 1 + seed % 3
+    points = s.points
+    end = max(p.t_del for p in points)
+    events = []
+    for i, p in enumerate(points):
+        if i % 3 == 1:
+            events.append((None, p.t_arr))
+        events.append((p, p.t_arr))
+    events += [(None, t) for t in range(points[-1].t_arr + 1, end + 1, 3)]
+
+    digests, arrived = [], []
+    for i, (p, t) in enumerate(events):
+        c.update(p, t)
+        if p is not None:
+            arrived.append(p)
+        row = [c.ops, c.metric.evals, c.update_ops, c.stored_points(), c.peak_stored,
+               state(c)]
+        if i % every == 0:
+            active = [x for x in arrived if t < x.t_del]
+            try:
+                sol = c.query(t)
+            except NoFeasibleGuess:
+                row.append("infeasible")
+            else:
+                rad = radius(oracle_metric, sol.centers, active) if active else 0.0
+                row += [gammas.index(sol.guess_used), sol.center_ids, _fmt(rad),
+                        c.ops]
+                if algo == "two":
+                    w = c.witness()
+                    row.append(None if w is None else [x.id for x in w])
+        text = json.dumps(row, separators=(",", ":"))
+        digests.append(hashlib.sha256(text.encode()).hexdigest()[:12])
+    return name, digests
+
+
+def all_digests():
+    return dict(replay_digest(seed) for seed in range(N_CASES))
+
+
+def first_difference(recorded, current):
+    """None when the two agree; else a line naming the first replay, and
+    the first update in it, that differs."""
+    for name in sorted(recorded.keys() | current.keys()):
+        if name not in current:
+            return f"replay {name} is recorded but no longer replayed"
+        if name not in recorded:
+            return f"replay {name} is replayed but not recorded"
+    for name, old in recorded.items():
+        new = current[name]
+        for i, (a, b) in enumerate(zip(old, new)):
+            if a != b:
+                return f"replay {name} differs first at update {i}"
+        if len(old) != len(new):
+            return f"replay {name} has {len(new)} updates, {len(old)} recorded"
+    return None
+
+
+def test_replays_match_the_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    assert first_difference(recorded, all_digests()) is None
+
+
+def main(argv):
+    current = all_digests()
+    if argv == ["--check"]:
+        diff = first_difference(json.loads(DIGESTS.read_text()), current)
+        if diff is not None:
+            print(f"{DIGESTS.name} is stale: {diff}", file=sys.stderr)
+            return 1
+        print(f"{DIGESTS.name}: all {len(current)} replays match")
+        return 0
+    if argv:
+        print(f"usage: {sys.argv[0]} [--check]", file=sys.stderr)
+        return 2
+    lines = (f"{json.dumps(name)}: {json.dumps(d)}" for name, d in current.items())
+    DIGESTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(current)} replays to {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
