@@ -10,12 +10,14 @@ Neighbouring rungs whose states are equal share one: their entries in
 dict. A rung's next state depends only on its state, the update and the
 outcomes of its tests d(a, p) <= 2*gamma, and an arrival's tests are known
 before it is applied. So an update is applied once per group of rungs that
-share a state, in one pass over the groups. An arrival splits a group, on
-copies of its state, where one of its distances changes a test's outcome,
-inserts itself into each part, and merges each part into the group before
-it once their states are equal. An expiry purges each group and learns the
-next expiry time. Counters keep their per-rung meaning: a group of m rungs
-counts m ops per operation and m evaluations per distance it computes once.
+share a state, in one pass over the groups. A distance changes a test's
+outcome inside a group only where it falls between its end rungs' 2*gamma;
+a group with no such distance, the usual case, stays whole, and one with
+some is cut there, on copies of its state. The arrival is inserted inline
+into each part, which merges into the group before it once their states
+are equal. An expiry purges each group and learns the next expiry time.
+Counters keep their per-rung meaning: a group of m rungs counts m ops per
+operation and m evaluations per distance it computes once.
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
 only drops what has expired by t; see `LadderClustering.update`.
@@ -43,11 +45,10 @@ UPDATE_OPS_FACTOR = 4
 
 
 class _Attractor:
-    __slots__ = ("point", "rep")
+    __slots__ = ("point", "rep", "key")
 
-    def __init__(self, point, rep=None):
-        self.point = point
-        self.rep = point if rep is None else rep  # a new attractor represents itself
+    def __init__(self, point, rep, key):
+        self.point, self.rep, self.key = point, rep, key  # key: deletion_key(rep)
 
 
 class SixApproxGuessState:
@@ -112,36 +113,66 @@ class SixApproxClustering(LadderClustering):
         """One pass over the groups: split, insert, merge; see the module docstring."""
         groups = []
         memo = {}  # attractor id -> its distance to p, one call each
+        states, two_g, distance = self.states, self._two_g, self.metric.distance
+        key, evals = deletion_key(p), 0
         for lo, hi in self._groups:
-            st = self.states[lo]
-            dists = []
+            st = states[lo]
+            # Rung i tests d <= 2*gamma_i, so a test's outcome changes at the first
+            # rung whose 2*gamma is at least d, inside the group iff g_lo < d <= g_hi.
+            g_lo, g_hi = two_g[lo], two_g[hi - 1]
+            dists, cut = [], False
             for a in st.attractors:
                 d = memo.get(a.point.id)
                 if d is None:
-                    d = memo[a.point.id] = self.metric.distance(a.point, p)
+                    d = memo[a.point.id] = distance(a.point, p)
                 dists.append(d)
-            self.metric.evals += (hi - lo) * len(dists)
-            # Rung i tests d <= 2*gamma_i, so a test's outcome changes at the
-            # first rung whose 2*gamma is at least d.
-            cuts = {bisect_left(self._two_g, d, lo, hi) for d in dists} if hi - lo > 1 else ()
-            bounds = [lo, *sorted(c for c in cuts if lo < c < hi), hi]
-            # Copies come from the state as purged, before the arrival changes it.
-            for s, e in zip(bounds[1:-1], bounds[2:]):
-                part = self.states[s]
-                part.attractors = [_Attractor(a.point, a.rep) for a in st.attractors]
-                part.orphans = dict(st.orphans)
-                self._share(s + 1, e, part)
-            for s, e in zip(bounds, bounds[1:]):
-                ops = self.ops
-                self._insert(s, e, p, dists)
-                self.ops += (e - s - 1) * (self.ops - ops)
-                if groups and _same(self.states[groups[-1][0]], self.states[s]):
-                    self._share(s, e, self.states[groups[-1][0]])
+                if g_lo < d <= g_hi:
+                    cut = True
+            n = len(dists)
+            evals += (hi - lo) * n
+            parts = ((lo, hi),)
+            if cut:
+                cuts = sorted({bisect_left(two_g, d, lo, hi) for d in dists if g_lo < d <= g_hi})
+                parts = tuple(zip((lo, *cuts), (*cuts, hi)))
+                # Copies come from the state as purged, before the arrival changes it.
+                for s, e in parts[1:]:
+                    part = states[s]
+                    part.attractors = [_Attractor(a.point, a.rep, a.key) for a in st.attractors]
+                    part.orphans = dict(st.orphans)
+                    self._share(s + 1, e, part)
+            for s, e in parts:
+                part, g = states[s], two_g[s]
+                # Insert p: count the attractors within 2*gamma, and keep the
+                # one of smallest id whose representative p outlives.
+                within, best = 0, None
+                for a, d in zip(part.attractors, dists):
+                    if d <= g:
+                        within += 1
+                        if a.key < key and (best is None or a.point.id < best.point.id):
+                            best = a
+                if not within:
+                    part.attractors.append(_Attractor(p, p, key))
+                    self._next_expiry = min(self._next_expiry, p.t_del)
+                    ops = self.ops
+                    self._cleanup(part)
+                    self.ops += (e - s) * (n + 1) + (e - s - 1) * (self.ops - ops)
+                    # Only a new attractor grows a guess, so only here can its peak rise.
+                    size, peaks = sum(part.sizes()), self.peak_per_guess
+                    for i in range(s, e):
+                        if peaks[i] < size:
+                            peaks[i] = size
+                elif best is None:  # p is discarded for these guesses
+                    self.ops += (e - s) * (n + within)
+                else:  # the displaced representative is dropped
+                    best.rep, best.key = p, key
+                    self.ops += (e - s) * (n + within + 1)
+                if groups and _same(states[groups[-1][0]], part):
+                    self._share(s, e, states[groups[-1][0]])
                     groups[-1] = (groups[-1][0], e)
                 else:
                     groups.append((s, e))
         # The loop counted every rung's tests, `distance` each call again.
-        self.metric.evals -= len(memo)
+        self.metric.evals += evals - len(memo)
         self._groups = groups
 
     def _expire(self, t):
@@ -153,34 +184,6 @@ class SixApproxClustering(LadderClustering):
                 self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
             return
         self._next_expiry = min([self._purge(lo, hi, t) for lo, hi in self._groups])
-
-    def _insert(self, lo, hi, p, dists):
-        """Insert p into the state of rungs [lo, hi), whose tests against
-        the attractors, at `dists`, all have the same outcomes. Counts one
-        rung's ops."""
-        st = self.states[lo]
-        two_g = self._two_g[lo]
-        within = [a for a, d in zip(st.attractors, dists) if d <= two_g]
-        self.ops += len(dists)
-        if not within:
-            st.attractors.append(_Attractor(p))
-            self._next_expiry = min(self._next_expiry, p.t_del)
-            self.ops += 1
-            self._cleanup(st)
-            # Only a new attractor grows a guess, so only here can its peak rise.
-            size = sum(st.sizes())
-            peaks = self.peak_per_guess
-            for i in range(lo, hi):
-                if peaks[i] < size:
-                    peaks[i] = size
-        else:
-            eligible = [a for a in within if deletion_key(a.rep) < deletion_key(p)]
-            self.ops += len(within)
-            if eligible:
-                a = min(eligible, key=lambda e: e.point.id)
-                a.rep = p  # the displaced representative is dropped
-                self.ops += 1
-            # otherwise p is discarded for these guesses
 
     def _purge(self, lo, hi, t):
         """Drop every stored point with t_del <= t from the state of rungs

@@ -49,10 +49,6 @@ class _Points(dict):
     def __iter__(self):
         return iter(self.values())
 
-    def remove(self, p):
-        if self.pop(p.id, None) is None:
-            raise PointNotFound(f"point {p.id} not in this set")
-
 
 class _Cluster:
     # The center is its own first member, a vanishing one.

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from dynkcenter import cli, core
+from dynkcenter.errors import MalformedRecord
 
 
 def run_cli(*argv):
@@ -305,8 +306,10 @@ class TestTypedErrors:
     @pytest.mark.parametrize("case", ["matrix-on-coordinates", "record-without-coords"])
     def test_payloads_the_metric_cannot_read_exit_1(self, case, tmp_path, capsys):
         """Above PAIRWISE_CHECK_CAP no scan reads every payload before the
-        replay, so the first distance the structure computes meets a payload
-        its metric cannot read; it raises MetricError, not a TypeError."""
+        replay, so coordinates under a matrix metric first meet it at the
+        structure's first distance: a MetricError, not a TypeError. A record
+        without coordinates among coordinate records never gets that far;
+        the loader rejects it as a MalformedRecord naming its line."""
         stream = tmp_path / "s.jsonl"
         run_cli("gen", "--kind", "sliding", "--n", str(core.PAIRWISE_CHECK_CAP + 100),
                 "--out", str(stream))
@@ -327,6 +330,12 @@ class TestTypedErrors:
                        "--stream", str(stream)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if case == "matrix-on-coordinates":
+            assert "cannot measure d(" in err
+        else:
+            assert "line 6" in err
+            with pytest.raises(MalformedRecord, match="line 6"):
+                core.load_stream_jsonl(str(stream))
 
     @pytest.mark.parametrize("bounds", [("--prescan",), ("--dmin", "0.01", "--dmax", "2")],
                              ids=["prescan", "declared"])
@@ -334,22 +343,18 @@ class TestTypedErrors:
         self, bounds, tmp_path, capsys
     ):
         """At most PAIRWISE_CHECK_CAP points, the scan that measures or checks
-        the bounds reads every payload first; a record without coordinates
-        among coordinate records under a matrix metric is a MetricError."""
+        the bounds reads every payload before the replay; coordinates under
+        a matrix metric are an IndexOutOfRange there, a MetricError."""
         stream, table = tmp_path / "s.jsonl", tmp_path / "adv.csv"
         run_cli("gen", "--kind", "adversarial", "--n", "10", "--out",
                 str(tmp_path / "adv.jsonl"), "--matrix-out", str(table))
         run_cli("gen", "--kind", "sliding", "--n", "30", "--out", str(stream))
-        lines = stream.read_text().splitlines()
-        row = json.loads(lines[5])
-        del row["coords"]
-        lines[5] = json.dumps(row)
-        stream.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1", *bounds,
                        "--metric", f"matrix:{table}", "--stream", str(stream)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert "index out of range in points" in err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("bounds", [("--dmin", "5", "--dmax", "6"), ("--dmin", "5"),

@@ -1,5 +1,6 @@
-"""Sameness across commits: per-update digests of seeded replays of both
-structures, checked against `replay_digests.json`.
+"""Sameness across commits: per-update digests of replays of both
+structures, a seeded grid and a list of named cases, checked against
+`replay_digests.json`.
 
 Each digest hashes what an update leaves observable: every rung's state,
 `ops`, `evals`, `stored_points()`, the peaks and, where the update is
@@ -25,6 +26,7 @@ import sys
 from dynkcenter import (
     SixApproxClustering,
     TwoApproxClustering,
+    adversarial_quadratic_stream,
     h_bounded_stream,
     random_lifetime_stream,
     sliding_window_stream,
@@ -74,27 +76,28 @@ def _six_state(c):
     ] + [c.peak_per_guess]
 
 
-def replay_digest(seed):
-    """The case's name and one 12-hex-digit digest per update.
+def _build(algo, gen, k, epsilon, reclustering, single_gamma=None):
+    s, metric = gen.stream, gen.metric.clone()
+    if single_gamma is not None:
+        return TwoApproxClustering.single_guess(k, single_gamma, metric, reclustering, epsilon)
+    if algo == "two":
+        return TwoApproxClustering(k, epsilon, s.d_min, s.d_max, metric, reclustering)
+    return SixApproxClustering(k, epsilon, s.d_min, s.d_max, metric)
+
+
+def replay(algo, gen, c, every):
+    """One 12-hex-digit digest per update of structure c over gen's stream.
 
     Arrivals come in order; every third one is preceded by a clock-only
     update to its own time, which does the expiry on its own; a query
-    follows every update whose index is a multiple of 1 + seed % 3. After
-    the last arrival the clock moves on in steps of 3 until every point
-    has expired.
+    follows every update whose index is a multiple of `every`. After the
+    last arrival the clock moves on in steps of 3 until every point has
+    expired.
     """
-    name, algo, kind, n, dim, k, epsilon, reclustering = case(seed)
-    gen = _stream(kind, n, dim, seed)
     s = gen.stream
-    if algo == "two":
-        c = TwoApproxClustering(k, epsilon, s.d_min, s.d_max, gen.metric.clone(), reclustering)
-        state = _two_state
-    else:
-        c = SixApproxClustering(k, epsilon, s.d_min, s.d_max, gen.metric.clone())
-        state = _six_state
+    state = _two_state if algo == "two" else _six_state
     oracle_metric = gen.metric.clone()
     gammas = list(c.ladder)
-    every = 1 + seed % 3
     points = s.points
     end = max(p.t_del for p in points)
     events = []
@@ -126,11 +129,56 @@ def replay_digest(seed):
                     row.append(None if w is None else [x.id for x in w])
         text = json.dumps(row, separators=(",", ":"))
         digests.append(hashlib.sha256(text.encode()).hexdigest()[:12])
-    return name, digests
+    return digests
+
+
+def replay_digest(seed):
+    """The seeded case's name and its replay's digests; a query follows
+    every update whose index is a multiple of 1 + seed % 3."""
+    name, algo, kind, n, dim, k, epsilon, reclustering = case(seed)
+    gen = _stream(kind, n, dim, seed)
+    return name, replay(algo, gen, _build(algo, gen, k, epsilon, reclustering), 1 + seed % 3)
+
+
+# Replays outside the seeded grid, as (algo, stream, n, gamma, k, epsilon,
+# reclustering, one guess): the adversarial stream over its distance table
+# on both structures' full ladders, and the one-guess (2+eps) structure at
+# gamma, as the adversarial benchmark runs it. (6+eps) never reclusters.
+NAMED_CASES = [
+    ("two", "adv", 12, 1.0, 2, 1.0, True, False),
+    ("two", "adv", 16, 1.0, 1, 0.5, False, False),
+    ("two", "adv", 10, 2.0, 3, 2.0, False, False),
+    ("six", "adv", 12, 1.0, 2, 1.0, True, False),
+    ("six", "adv", 16, 2.0, 1, 0.5, True, False),
+    ("six", "adv", 10, 1.0, 3, 2.0, True, False),
+    ("two", "adv", 20, 1.0, 2, 2.0, True, True),
+    ("two", "adv", 20, 1.0, 2, 2.0, False, True),
+    ("two", "adv", 14, 2.0, 1, 1.0, True, True),
+    ("two", "random", 30, 0.3, 2, 2.0, True, True),
+    ("two", "random", 31, 0.2, 3, 0.5, False, True),
+]
+
+
+def named_digest(spec):
+    """A named case's name and its replay's digests. The stream's size n
+    sets the query spacing, 1 + n % 3, and a random stream's seed, n, and
+    dimension, 1 + n % 2."""
+    algo, kind, n, gamma, k, epsilon, reclustering, single = spec
+    name = (f"{'single' if single else 'full'}-{algo}-{kind}-n{n}-g{gamma}-k{k}-e{epsilon}"
+            + ("-rc" if reclustering and algo == "two" else ""))
+    if kind == "adv":
+        gen = adversarial_quadratic_stream(n, gamma)
+    else:
+        gen = random_lifetime_stream(n, 1 + n % 2, 9, n)
+    c = _build(algo, gen, k, epsilon, reclustering, gamma if single else None)
+    return name, replay(algo, gen, c, 1 + n % 3)
 
 
 def all_digests():
-    return dict(replay_digest(seed) for seed in range(N_CASES))
+    """Every replay by name. The named cases come first, so that one added
+    at the end of `NAMED_CASES` only adds lines to the recorded file."""
+    return dict([named_digest(spec) for spec in NAMED_CASES]
+                + [replay_digest(seed) for seed in range(N_CASES)])
 
 
 def first_difference(recorded, current):

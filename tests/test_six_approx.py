@@ -18,6 +18,7 @@ from dynkcenter.errors import (
     InvariantViolation,
     NonMonotoneArrival,
 )
+from dynkcenter.six_approx import _same
 from dynkcenter.streamgen import uniform_coords
 from conftest import line_metric
 
@@ -240,6 +241,56 @@ class TestRungsStayIndependent:
                 assert peak == twin.peak_per_guess[0]
             assert full.ops == sum(twin.ops for twin in twins)
             assert full.metric.evals == sum(twin.metric.evals for twin in twins)
+
+
+def assert_groups_tile_and_share(c, maximal):
+    """The groups tile the ladder in order, every rung of a group holds its
+    first rung's containers, and, where `maximal`, no two neighbouring
+    groups hold equal states."""
+    groups = c._groups
+    assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]]
+    assert groups[-1][1] == len(c.states)
+    for lo, hi in groups:
+        head = c.states[lo]
+        assert lo < hi
+        assert all(st.attractors is head.attractors and st.orphans is head.orphans
+                   for st in c.states[lo:hi])
+    if maximal:
+        for (a, _), (b, _) in zip(groups, groups[1:]):
+            assert not _same(c.states[a], c.states[b])
+
+
+class TestGroupsStayMaximalAndShared:
+    """An arrival leaves no two neighbouring groups equal, and rungs share
+    their group's state, also in a deep copy. A purge may leave equal
+    neighbours, which the next arrival merges, so an expiry-only update is
+    checked for tiling and sharing only."""
+
+    @staticmethod
+    def replay(c, points):
+        for i, p in enumerate(points):
+            c.update(p)
+            assert_groups_tile_and_share(c, maximal=True)
+            if i % 5 == 0:
+                c.update(None, p.t_arr + 1)
+                assert_groups_tile_and_share(c, maximal=False)
+
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_after_every_update(self, name):
+        gen = SMALL_STREAMS[name]()
+        c = SixApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, gen.metric.clone())
+        self.replay(c, gen.stream.points)
+
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_in_a_deep_copy_of_a_warmed_structure(self, name):
+        gen = SMALL_STREAMS[name]()
+        points = gen.stream.points
+        c = SixApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, gen.metric.clone())
+        for p in points[:60]:
+            c.update(p)
+        twin = copy.deepcopy(c)
+        assert_groups_tile_and_share(twin, maximal=True)
+        self.replay(twin, points[60:])
 
 
 class _CountingMetric(EuclideanMetric):

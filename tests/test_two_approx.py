@@ -289,7 +289,7 @@ class TestInvariantSuite:
         for p in points:
             c.update(p)
         cl = c.states[0].clusters[0]
-        cl.members.remove(points[1])
+        del cl.members[points[1].id]
         cl.vanishing -= 1
         with pytest.raises(InvariantViolation) as e:
             audit_two_approx(c, points)
