@@ -299,11 +299,25 @@ class LadderClustering:
 
     A subclass sets FACTOR and State (its per-guess state, built from
     gamma) and supplies the three steps of the one update and query path:
-    ``_expire(t)`` drops what has expired by t, ``_arrive(p)`` applies an
-    arrival to every rung, and ``_answer()`` answers at the smallest
-    feasible guess. It also provides ``stored_points()`` and
-    ``peak_stored``. RECLUSTERS says whether it has the size-balance
-    reclustering that ``reclustering_enabled`` switches.
+    ``_expire(t)`` drops what has expired by t and says whether it may have
+    left equal neighbouring groups, ``_arrive(p)`` applies an arrival to
+    every rung, and ``_answer()`` answers at the smallest feasible guess.
+    It also provides ``stored_points()`` and ``peak_stored``. RECLUSTERS
+    says whether it has the size-balance reclustering that
+    ``reclustering_enabled`` switches.
+
+    Neighbouring rungs whose states are equal share one. `_groups` lists
+    the [lo, hi) rung ranges, in order, whose entries in `states` keep their
+    own gamma but hold the same containers, the attributes State.SHARED
+    names. Rung i tests d <= `_two_g[i]`, so a test's outcome differs inside
+    a group only for a d between its end rungs' 2*gamma, and there the
+    group is cut at `bisect_left(_two_g, d)`, as each subclass's steps
+    decide. The subclass supplies ``_same(a, b)``, state equality, and
+    ``_copy(dst, src)``, which gives dst its own copy of src's containers.
+    `_join` and `_merge` join equal neighbours; the update calls `_merge`
+    after an `_expire` that says so, unless an arrival follows, which
+    joins them as it goes. Whether they are joined changes no result, only
+    the work.
     """
 
     FACTOR: float
@@ -330,6 +344,10 @@ class LadderClustering:
             d_min, d_max, epsilon / self.FACTOR
         )
         self.states = [self.State(g) for g in self.ladder]
+        self._two_g = [2.0 * g for g in self.ladder]
+        # All rungs start empty, so they start as one group.
+        self._groups = [(0, len(self.states))]
+        self._share(0, len(self.states), self.states[0])
         self.ops = 0  # structural operation counter
         self.update_ops = 0  # ops of the latest update
         self._last_arrival = -math.inf
@@ -346,17 +364,48 @@ class LadderClustering:
             raise InvalidParameter("update(None) needs an explicit time")
         self._advance(t, p)
         ops = self.ops
-        self._expire(t)
+        purged = self._expire(t)
         if p is not None:
-            self._arrive(p)
+            self._arrive(p)  # which joins equal neighbours as it goes
+        elif purged:
+            self._merge()
         self.update_ops = self.ops - ops
 
     def query(self, t):
         """Drop what has expired by t, then answer at the smallest feasible
         guess."""
         self._advance(t)
-        self._expire(t)
+        if self._expire(t):
+            self._merge()
         return self._answer()
+
+    def _share(self, lo, hi, st):
+        """Point rungs [lo, hi) at st's containers."""
+        shared = [(name, getattr(st, name)) for name in self.State.SHARED]
+        for rung in self.states[lo:hi]:
+            for name, value in shared:
+                setattr(rung, name, value)
+
+    def _split(self, lo, hi, st):
+        """Give rungs [lo, hi) their own copy of st's containers."""
+        self._copy(self.states[lo], st)
+        self._share(lo + 1, hi, self.states[lo])
+
+    def _join(self, groups, lo, hi):
+        """Append rungs [lo, hi) to groups, joined to the last group if their
+        states are equal."""
+        if groups and self._same(self.states[groups[-1][0]], self.states[lo]):
+            self._share(lo, hi, self.states[groups[-1][0]])
+            groups[-1] = (groups[-1][0], hi)
+        else:
+            groups.append((lo, hi))
+
+    def _merge(self):
+        """Join every group whose state equals the one before it."""
+        groups = []
+        for lo, hi in self._groups:
+            self._join(groups, lo, hi)
+        self._groups = groups
 
     def _advance(self, t, p=None):
         """Move the clock to t, first checking that t is a number, that time

@@ -5,19 +5,20 @@ attractors, one representative per attractor (the longest-lived point it
 has attracted), and orphaned representatives whose attractors were evicted
 or expired. Queries greedily cover the representative set.
 
-Neighbouring rungs whose states are equal share one: their entries in
-`states` keep their own gamma but hold the same attractor list and orphan
-dict. A rung's next state depends only on its state, the update and the
-outcomes of its tests d(a, p) <= 2*gamma, and an arrival's tests are known
-before it is applied. So an update is applied once per group of rungs that
-share a state, in one pass over the groups. A distance changes a test's
-outcome inside a group only where it falls between its end rungs' 2*gamma;
-a group with no such distance, the usual case, stays whole, and one with
-some is cut there, on copies of its state. The arrival is inserted inline
-into each part, which merges into the group before it once their states
-are equal. An expiry purges each group and learns the next expiry time.
-Counters keep their per-rung meaning: a group of m rungs counts m ops per
-operation and m evaluations per distance it computes once.
+Neighbouring rungs whose states are equal share one attractor list and
+orphan dict; `LadderClustering` keeps these groups. A rung's next state
+depends only on its state, the update and the outcomes of its tests
+d(a, p) <= 2*gamma, and an arrival's tests are known before it is applied.
+So an update is applied once per group of rungs that share a state, in one
+pass over the groups. A distance changes a test's outcome inside a group
+only where it falls between its end rungs' 2*gamma; a group with no such
+distance, the usual case, stays whole, and one with some is cut there, on
+copies of its state. The arrival is inserted inline into each part, which
+merges into the group before it once their states are equal. An expiry
+purges each group and learns the next expiry time; an expiry-only update
+or a query that purges then merges equal neighbours. Counters keep their
+per-rung meaning: a group of m rungs counts m ops per operation and m
+evaluations per distance it computes once.
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
 only drops what has expired by t; see `LadderClustering.update`.
@@ -53,6 +54,7 @@ class _Attractor:
 
 class SixApproxGuessState:
     __slots__ = ("gamma", "attractors", "orphans")
+    SHARED = ("attractors", "orphans")
 
     def __init__(self, gamma: float):
         self.gamma = gamma
@@ -83,6 +85,7 @@ def _same(a: SixApproxGuessState, b: SixApproxGuessState) -> bool:
 class SixApproxClustering(LadderClustering):
     FACTOR = 6.0
     State = SixApproxGuessState
+    _same = staticmethod(_same)
 
     def __init__(
         self,
@@ -97,15 +100,11 @@ class SixApproxClustering(LadderClustering):
         self.peak_per_guess = [0] * len(self.states)
         # No stored point expires before this time; see `_expire`.
         self._next_expiry = math.inf
-        self._two_g = [2.0 * st.gamma for st in self.states]
-        # [lo, hi) rung ranges, in order, each sharing one state; all start empty.
-        self._groups = [(0, len(self.states))]
-        self._share(0, len(self.states), self.states[0])
 
-    def _share(self, lo, hi, st):
-        """Point rungs [lo, hi) at st's attractor list and orphan dict."""
-        for rung in self.states[lo:hi]:
-            rung.attractors, rung.orphans = st.attractors, st.orphans
+    @staticmethod
+    def _copy(dst, src):
+        dst.attractors = [_Attractor(a.point, a.rep, a.key) for a in src.attractors]
+        dst.orphans = dict(src.orphans)
 
     # -- update ------------------------------------------------------------
 
@@ -136,10 +135,7 @@ class SixApproxClustering(LadderClustering):
                 parts = tuple(zip((lo, *cuts), (*cuts, hi)))
                 # Copies come from the state as purged, before the arrival changes it.
                 for s, e in parts[1:]:
-                    part = states[s]
-                    part.attractors = [_Attractor(a.point, a.rep, a.key) for a in st.attractors]
-                    part.orphans = dict(st.orphans)
-                    self._share(s + 1, e, part)
+                    self._split(s, e, st)
             for s, e in parts:
                 part, g = states[s], two_g[s]
                 # Insert p: count the attractors within 2*gamma, and keep the
@@ -177,13 +173,15 @@ class SixApproxClustering(LadderClustering):
 
     def _expire(self, t):
         """Purge each group once, counting its ops once per rung. Before
-        `_next_expiry` a purge would drop nothing, so it is only counted."""
+        `_next_expiry` a purge would drop nothing, so it is only counted.
+        A purge may leave equal neighbours, so it returns True."""
         if t < self._next_expiry:
             for lo, hi in self._groups:
                 st = self.states[lo]
                 self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
-            return
+            return False
         self._next_expiry = min([self._purge(lo, hi, t) for lo, hi in self._groups])
+        return True
 
     def _purge(self, lo, hi, t):
         """Drop every stored point with t_del <= t from the state of rungs

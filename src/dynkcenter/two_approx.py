@@ -9,31 +9,54 @@ deletion finds the owner with at most k+1 membership tests. A global expiry
 queue drives deletions; a size-balance rule triggers suffix reclustering so
 that reassignment work stays amortized O(k) per update.
 
-An update is one pass over the rungs. An arrival computes d(p, center)
-once per center and places p first-fit on every rung inline; an expiry
-removes the point inline, and only a center's deletion calls out, to
-`_delete_center`: it reassigns first-fit with `_place` and promotes with
-`_open_longest_lived`, which opens a cluster at a pool's longest-lived
-point and attaches the pool points within 2*gamma of it. Every
-reclustering round calls it too.
+Neighbouring rungs whose states are equal share one: `LadderClustering`
+keeps these groups, and an update runs once per group, in one pass over
+the groups. Rung i tests d <= 2*gamma_i, so inside a group [lo, hi) only a
+tested distance in (2*gamma_lo, 2*gamma_(hi-1)] can have different
+outcomes. An arrival tests p first-fit against the centers at rung lo. A
+center at such a distance is the first fit of the rungs from
+`bisect_left` of it on, so the group is cut there, on copies of its state
+taken before p is placed, and p is placed once per part. A center's deletion (reassignment
+with `_place`, promotion with `_open_longest_lived`) and a reclustering
+round test distances that depend on earlier outcomes, so `_step` runs them
+at rung lo and notes the least tested distance in that range: the rungs
+below it keep the result, and the rest rerun the step from a copy taken
+before it. Whether a round starts depends only on counters, the same on
+every rung of a group. Counters keep their per-rung meaning: a group of m
+rungs counts m ops per operation and m evaluations per test.
+
+Equal neighbours are joined only around a step's parts. An arrival puts p
+in one place on each rung, and two states that differ still differ with p
+added, so no other group an arrival changes can equal its neighbour. An
+expiry can make neighbours equal, when q sat in different places in them;
+they then stay apart until a step next to them. That costs work but
+changes no result, and the cheapest check tried, comparing neighbours that
+lost q from different containers, cost more time than it saved: on a
+2,000-point random stream it left 9.8 groups of 22 rungs per update, not
+10.0.
 
 Balance: no suffix of clusters has more persistent than vanishing plus
-unclustered points. `_recluster` rebuilds from the first cluster whose
-suffix breaks this and leaves none broken: for a suffix starting before it,
-the clusters in between had sum(persistent - vanishing) < 0, and no cluster
-it opens has a persistent point. So of an arrival's changes only a persistent
-attach can break a suffix and run the scan. An expiry scans only while the
-rung's clustered non-centers, the only points that can be persistent,
-outnumber its unclustered points plus one vanishing center. Elsewhere the
-update counts the scan's len(clusters) ops without scanning.
+unclustered points. `_recluster` finds the first cluster whose suffix
+breaks this, and `_rebuild` rebuilds from it and leaves none broken: for a
+suffix starting before it, the clusters in between had sum(persistent -
+vanishing) < 0, and no cluster it opens has a persistent point. So of an
+arrival's changes only a persistent attach can break a suffix. An expiry
+can break one only while the rung's clustered non-centers, the only points
+that can be persistent, outnumber its unclustered points plus one
+vanishing center. A group also keeps a lower bound on its slack, |U| minus
+the largest suffix sum, and a change that costs at most one of it scans
+only once the bound would fall below zero. Elsewhere the update counts the
+scan's len(clusters) ops without scanning.
 
-Neighbouring rungs test many of the same pairs, so each update memoises
-d(x, y) by the pair of point ids and computes every pair once. Every test
-still counts one evaluation in `metric.evals`, memoised or not, so the
-counters stay per test.
+Each update memoises d(x, y) by the pair of point ids and computes every
+pair once. Every test still counts one evaluation in `metric.evals`,
+memoised or not, so the counters stay per test.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left
 
 from .core import DeletionQueue, GuessLadder, LadderClustering, Metric, deletion_key
 from .errors import NoCurrentQuery, NoFeasibleGuess, PointNotFound
@@ -61,28 +84,59 @@ class _Cluster:
         self.persistent = 0
         self.vanishing = 1
 
+    def copy(self):
+        cl = _Cluster.__new__(_Cluster)
+        cl.center, cl.key, cl.members = self.center, self.key, _Points(self.members)
+        cl.persistent, cl.vanishing = self.persistent, self.vanishing
+        return cl
+
 
 class TwoApproxGuessState:
-    """Per-guess clustered structure (centers, member sets, unclustered)."""
+    """Per-guess clustered structure (centers, member sets, unclustered).
 
-    __slots__ = ("gamma", "clusters", "unclustered")
+    The rungs of a group share `clusters` and `unclustered`. `slack` is kept
+    up to date at the group's first rung only: a lower bound on |U| minus
+    the largest suffix sum of persistent - vanishing. While it is positive,
+    a change that raises a suffix sum, or lowers |U|, by one cannot break
+    balance, so the balance scan is counted but not made."""
+
+    __slots__ = ("gamma", "slack", "clusters", "unclustered")
+    SHARED = ("clusters", "unclustered")
 
     def __init__(self, gamma: float):
         self.gamma = gamma
+        self.slack = 0
         self.clusters = []
         self.unclustered = _Points()
 
 
+def _same(a: TwoApproxGuessState, b: TwoApproxGuessState) -> bool:
+    """Equal states: the same centers with the same members, counters and
+    orders, and the same unclustered points in the same order; first-fit
+    and `_open_longest_lived` can observe all of it. The sizes and counters
+    come first, as they tell most unequal states apart."""
+    if len(a.unclustered) != len(b.unclustered) or len(a.clusters) != len(b.clusters):
+        return False
+    for x, y in zip(a.clusters, b.clusters):
+        if (x.center is not y.center or len(x.members) != len(y.members)
+                or x.persistent != y.persistent):
+            return False
+    return all(list(x.members.keys()) == list(y.members.keys())
+               for x, y in zip(a.clusters, b.clusters)
+               ) and list(a.unclustered.keys()) == list(b.unclustered.keys())
+
+
 class TwoApproxClustering(LadderClustering):
     """Dynamic clustering over the full guess ladder; `LadderClustering`
-    runs the update and query path. An arrival is placed first-fit on every
-    rung, and a query returns the centers of the smallest guess with no
-    unclustered point.
+    runs the update and query path. An arrival is placed first-fit once per
+    group of rungs that share a state, and a query returns the centers of
+    the smallest guess with no unclustered point.
     """
 
     FACTOR = 2.0
     State = TwoApproxGuessState
     RECLUSTERS = True
+    _same = staticmethod(_same)
 
     def __init__(
         self,
@@ -100,6 +154,7 @@ class TwoApproxClustering(LadderClustering):
         self.peak_stored = 0
         self._last_query_index = None
         self._memo = {}  # (smaller id, larger id) -> distance, this update only
+        self._cut = math.inf  # the least distance a step found to cut its group at
 
     @classmethod
     def single_guess(cls, k, gamma, metric, reclustering_enabled=True, epsilon=2.0):
@@ -107,90 +162,166 @@ class TwoApproxClustering(LadderClustering):
         ladder = GuessLadder(1.0, (gamma,))
         return cls(k, epsilon, gamma, gamma, metric, reclustering_enabled, ladder)
 
+    @staticmethod
+    def _copy(dst, src):
+        dst.slack = src.slack
+        dst.clusters = [cl.copy() for cl in src.clusters]
+        dst.unclustered = _Points(src.unclustered)
+
     # -- update ------------------------------------------------------------
 
     def _arrive(self, p):
-        """First-fit on every rung in one pass; only a persistent attach
-        runs the balance scan. See the module docstring."""
+        """First-fit once per group, in one pass; see the module docstring."""
         self._memo.clear()
-        k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
         dist = {}  # center id -> d(p, center), computed once per arrival
-        tests = 0  # each one op and one evaluation
-        ops = 1  # the queue push
-        for st in self.states:
-            two_g = 2.0 * st.gamma
-            clusters = st.clusters
-            ops += 1  # the attach, the opening or the unclustered point
-            for cl in clusters:
-                tests += 1
-                c = cl.center
-                d = dist.get(c.id)
-                if d is None:
-                    d = dist[c.id] = self._dist(p, c)
-                if d <= two_g:
-                    cl.members[pid] = p
-                    if key > cl.key:
-                        cl.persistent += 1
-                        self._recluster(st)
-                        break
-                    cl.vanishing += 1
-                    if scan:
-                        ops += len(clusters)
-                    break
-            else:
-                if len(clusters) < k:
-                    clusters.append(_Cluster(p))
-                else:
-                    st.unclustered[pid] = p
-                if scan:
-                    ops += len(clusters)
+        groups = []
+        tests, sized, _ = self._insert(p, self._groups, groups, dist, False)
+        self._groups = groups
         self.queue.push(p)
-        self.ops += ops + tests
+        # The queue push; per rung, the attach, the opening or the unclustered
+        # point, one op per test and, with reclustering, the balance scan.
+        self.ops += 1 + len(self.states) + tests + (sized if self.reclustering_enabled else 0)
         self.metric.evals += tests - len(dist)  # `_dist` counted the first of each
         # Only an arrival grows the stored set, so only here can the peak rise.
         self.peak_stored = max(self.peak_stored, self.stored_points())
 
+    def _insert(self, p, todo, groups, dist, check):
+        """Place p first-fit on each group of todo, appending the groups it
+        leaves to groups. Returns the tests and the clusters it saw, both
+        summed over rungs, and whether the last group appended must be
+        compared with the next one."""
+        k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
+        states, two_g = self.states, self._two_g
+        tests = sized = 0
+        for grp in todo:
+            lo, hi = grp
+            st = states[lo]
+            clusters = st.clusters
+            g = two_g[lo]
+            top = two_g[hi - 1]
+            cuts = None
+            for cl in clusters:
+                c = cl.center
+                d = dist.get(c.id)
+                if d is None:
+                    d = dist[c.id] = self._dist(p, c)
+                if d <= g:
+                    break
+                if d <= top:
+                    # Rungs from bisect_left(d) on fit here first: a part of
+                    # their own, unless a center before fits them already.
+                    s = bisect_left(two_g, d, lo, hi)
+                    if cuts is None:
+                        cuts = [s]
+                    elif s < cuts[-1]:
+                        cuts.append(s)
+            else:
+                cl = None  # no center within 2*gamma
+            if cuts is not None:
+                # Copies come from the state as expired, before p changes it;
+                # each part then finds its own first fit, the same on all its rungs.
+                bounds = [lo, *reversed(cuts), hi]
+                parts = list(zip(bounds, bounds[1:]))
+                for s, e in parts[1:]:
+                    self._split(s, e, st)
+                t, n, check = self._insert(p, parts, groups, dist, check)
+                tests, sized = tests + t, sized + n
+                continue
+            m = hi - lo
+            n = len(clusters)
+            if cl is None:
+                tests += m * n
+                if n < k:
+                    clusters.append(_Cluster(p))
+                    n += 1
+                    # The new cluster's suffix sum is -1, maybe above the others.
+                    st.slack = min(st.slack, len(st.unclustered) + 1)
+                else:
+                    st.unclustered[pid] = p
+                sized += m * n
+            else:
+                tests += m * (clusters.index(cl) + 1)
+                sized += m * n
+                cl.members[pid] = p
+                if key <= cl.key:
+                    cl.vanishing += 1
+                else:
+                    cl.persistent += 1
+                    if scan:
+                        st.slack -= 1  # the suffix sums up to p's cluster rose by one
+                        if st.slack < 0 and (t := self._recluster(st)) is not None:
+                            for s, e in self._step(lo, hi, self._rebuild, t):
+                                self._join(groups, s, e)
+                            check = True
+                            continue
+            if check:  # the group after a rebuild's parts
+                self._join(groups, lo, hi)
+                check = False
+            else:
+                groups.append(grp)
+        return tests, sized, check
+
     def _expire(self, t):
-        """Delete every stored point with t_del <= t, on every rung, in one
-        pass per point. Any move of the clock ends the last query's witness."""
+        """Delete every stored point with t_del <= t, once per group, in one
+        pass per point, joining equal neighbours around a step's parts. Any
+        move of the clock ends the last query's witness."""
         self._last_query_index = None
         head = self.queue.peek_key()
         if head is None or head[0] > t:
-            return
+            return False
         self._memo.clear()
-        scan = self.reclustering_enabled
+        scan, states = self.reclustering_enabled, self.states
         while head is not None and head[0] <= t:
             q = self.queue.pop()
-            qid, key = q.id, deletion_key(q)
+            qid = q.id
             n = len(self.queue)  # what every rung holds once q is gone
             ops = 1  # the queue pop
-            for st in self.states:
+            groups, check = [], False
+            for grp in self._groups:
+                lo, hi = grp
+                st = states[lo]
                 # The unclustered set first: it holds most points of the low rungs.
-                if st.unclustered.pop(qid, None) is not None:
-                    ops += 1
-                else:
+                if st.unclustered.pop(qid, None) is None:
+                    i = 0
                     for cl in st.clusters:
                         if qid in cl.members:
                             break
+                        i += 1
                     else:
                         raise PointNotFound(f"point {qid} not stored for guess {st.gamma}")
-                    if cl.center.id == qid:
-                        self._delete_center(st, cl, q)
-                    else:
-                        del cl.members[qid]
-                        ops += 1
-                        if key <= cl.key:
-                            cl.vanishing -= 1
-                        else:
-                            cl.persistent -= 1
-                # A suffix breaks balance only if its persistent points, at
-                # most n - |U| - l, outnumber its vanishing center and U.
-                if n - len(st.clusters) - 1 > 2 * len(st.unclustered):
-                    self._recluster(st)
-                elif scan:
-                    ops += len(st.clusters)
+                    if cl.center is q:
+                        for s, e in self._step(lo, hi, self._delete_center, i, q, n):
+                            self._join(groups, s, e)
+                        check = True
+                        continue
+                    del cl.members[qid]
+                    cl.vanishing -= 1  # q expires before the center it is stored with
+                m = hi - lo
+                if scan:
+                    size = len(st.clusters)
+                    ops += m * (size + 1)  # the removal and the balance scan
+                    st.slack -= 1  # |U| fell, or suffix sums rose, by one
+                    if st.slack < 0:
+                        # A suffix breaks balance only if its persistent points, at
+                        # most n - |U| - l, outnumber its vanishing center and U.
+                        if n - size - 1 <= 2 * len(st.unclustered):
+                            st.slack = 0
+                        elif (j := self._recluster(st)) is not None:
+                            for s, e in self._step(lo, hi, self._rebuild, j):
+                                self._join(groups, s, e)
+                            check = True
+                            continue
+                else:
+                    ops += m
+                if check:  # the group after a step's parts
+                    self._join(groups, lo, hi)
+                    check = False
+                else:
+                    groups.append(grp)
+            self._groups = groups
             self.ops += ops
             head = self.queue.peek_key()
+        return False  # not worth a `_merge`; see the module docstring
 
     def _dist(self, x, y) -> float:
         """d(x, y), computed once per update and counted once per test."""
@@ -202,16 +333,47 @@ class TwoApproxClustering(LadderClustering):
             self.metric.evals += 1
         return d
 
-    def _place(self, st, x, candidates):
+    def _step(self, lo, hi, step, *args):
+        """Run ``step(st, g, top, *args)`` for the group of rungs [lo, hi)
+        and return the parts it leaves, in order. The step runs at rung lo,
+        g = 2*gamma_lo, and sets `_cut` to the least distance it tested in
+        (g, top], top = 2*gamma_(hi-1). Rungs below the cut agree with lo and
+        keep its result, counted once per rung; the rest rerun the step from
+        a copy taken before it, as a group of their own."""
+        states, two_g, parts = self.states, self._two_g, []
+        while True:
+            st = states[lo]
+            if hi - lo > 1:
+                self._split(lo + 1, hi, st)
+            ops, evals = self.ops, self.metric.evals
+            self._cut = math.inf
+            step(st, two_g[lo], two_g[hi - 1], *args)
+            e = bisect_left(two_g, self._cut, lo + 1, hi)
+            if e > lo + 1:
+                self._share(lo + 1, e, st)
+                self.ops += (e - lo - 1) * (self.ops - ops)
+                self.metric.evals += (e - lo - 1) * (self.metric.evals - evals)
+            parts.append((lo, e))
+            if e == hi:
+                return parts
+            lo = e
+
+    def _tested(self, d, top):
+        """Note a distance tested false at rung lo that rungs up to top pass."""
+        if d <= top and d < self._cut:
+            self._cut = d
+
+    def _place(self, st, x, candidates, g, top):
         """First-fit: attach x to the first candidate whose center is within
-        2*gamma; otherwise open a cluster at x while fewer than k exist, or
-        leave x unclustered."""
-        two_g = 2.0 * st.gamma
+        g = 2*gamma; otherwise open a cluster at x while fewer than k exist,
+        or leave x unclustered."""
         for cl in candidates:
             self.ops += 1
-            if self._dist(x, cl.center) <= two_g:
+            d = self._dist(x, cl.center)
+            if d <= g:
                 self._attach(cl, x)
                 return
+            self._tested(d, top)
         if len(st.clusters) < self.k:
             st.clusters.append(_Cluster(x))
         else:
@@ -226,59 +388,72 @@ class TwoApproxClustering(LadderClustering):
             cl.persistent += 1
         self.ops += 1
 
-    def _open_longest_lived(self, st, pool) -> list:
+    def _open_longest_lived(self, st, pool, g, top) -> list:
         """Open a cluster at the pool's longest-lived point (the first one
-        on ties) and attach every other pool point within 2*gamma of it.
+        on ties) and attach every other pool point within g = 2*gamma of it.
         Returns the points left over, in pool order."""
         self.ops += len(pool) + 1  # the scan for best, then its opening
         best = max(pool, key=deletion_key)
         cl = _Cluster(best)
         st.clusters.append(cl)
-        two_g = 2.0 * st.gamma
         rest = []
         for x in pool:
             if x is best:
                 continue
             self.ops += 1
-            if self._dist(x, best) <= two_g:
+            d = self._dist(x, best)
+            if d <= g:
                 self._attach(cl, x)
             else:
+                self._tested(d, top)
                 rest.append(x)
         return rest
 
-    def _delete_center(self, st: TwoApproxGuessState, cl: _Cluster, q):
-        """Reassign the members of center q's cluster first-fit to later or
-        new clusters, or the unclustered set; drop the cluster; then promote
-        the longest-lived unclustered point, if any."""
-        i = st.clusters.index(cl)
+    def _delete_center(self, st: TwoApproxGuessState, g, top, i, q, n):
+        """Reassign the members of the cluster i of center q first-fit to
+        later or new clusters, or the unclustered set; drop the cluster;
+        promote the longest-lived unclustered point, if any; then restore
+        balance among the n points left."""
+        cl = st.clusters[i]
         del cl.members[q.id]
         self.ops += 2  # finding the cluster, then removing q
         for x in cl.members:
-            self._place(st, x, st.clusters[i + 1 :])
+            self._place(st, x, st.clusters[i + 1 :], g, top)
         del st.clusters[i]
         self.ops += 1
         if st.unclustered:
-            rest = self._open_longest_lived(st, st.unclustered)
-            st.unclustered = _Points((x.id, x) for x in rest)
+            rest = self._open_longest_lived(st, st.unclustered, g, top)
+            st.unclustered.clear()  # in place, as the rungs of a group share it
+            st.unclustered.update((x.id, x) for x in rest)
+        if self.reclustering_enabled:
+            size = len(st.clusters)
+            self.ops += size
+            st.slack = 0  # where the bound below rules out a broken suffix
+            if n - size - 1 > 2 * len(st.unclustered) and (j := self._recluster(st)) is not None:
+                self._rebuild(st, g, top, j)
 
     def _recluster(self, st: TwoApproxGuessState):
-        if not self.reclustering_enabled:
-            return
-        # Smallest index whose suffix has more persistent than
-        # vanishing-plus-unclustered points: the backward pass meets it last.
+        """Where a reclustering round starts: the smallest index whose
+        suffix has more persistent than vanishing-plus-unclustered points,
+        which the backward pass meets last; None when no suffix has. Sets
+        st.slack from the largest suffix sum it meets."""
         u_size = len(st.unclustered)
         j = len(st.clusters)
-        self.ops += j
-        suf = 0
+        suf, high = 0, -math.inf
         trigger = None
         for cl in reversed(st.clusters):
             j -= 1
             suf += cl.persistent - cl.vanishing
+            if suf > high:
+                high = suf
             if suf > u_size:
                 trigger = j
-        if trigger is None:
-            return
+        st.slack = u_size - high
+        return trigger
 
+    def _rebuild(self, st: TwoApproxGuessState, g, top, trigger):
+        """Recluster the clusters from trigger on, with the unclustered
+        points, opening at most k - trigger clusters at longest-lived points."""
         pool = [x for cl in st.clusters[trigger:] for x in cl.members]
         pool += st.unclustered
         self.ops += len(pool)
@@ -286,15 +461,19 @@ class TwoApproxClustering(LadderClustering):
         for _ in range(trigger, self.k):
             if not pool:
                 break
-            pool = self._open_longest_lived(st, pool)
-        st.unclustered = _Points((x.id, x) for x in pool)
+            pool = self._open_longest_lived(st, pool, g, top)
+        st.unclustered.clear()
+        st.unclustered.update((x.id, x) for x in pool)
         self.ops += len(pool)
+        st.slack = 0  # the round leaves no suffix broken
 
     # -- query -------------------------------------------------------------
 
     def _answer(self) -> Solution:
-        """Centers of the smallest guess with an empty unclustered set."""
-        for idx, st in enumerate(self.states):
+        """Centers of the smallest guess with an empty unclustered set: the
+        lowest rung of the first group with one."""
+        for idx, _ in self._groups:
+            st = self.states[idx]
             if not st.unclustered:
                 self.ops += idx + 1  # one per rung scanned
                 self._last_query_index = idx

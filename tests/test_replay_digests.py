@@ -143,7 +143,10 @@ def replay_digest(seed):
 # Replays outside the seeded grid, as (algo, stream, n, gamma, k, epsilon,
 # reclustering, one guess): the adversarial stream over its distance table
 # on both structures' full ladders, and the one-guess (2+eps) structure at
-# gamma, as the adversarial benchmark runs it. (6+eps) never reclusters.
+# gamma, as the adversarial benchmark runs it; last, (2+eps) at epsilon 0.25
+# on sliding and random streams, 85 to 89 rungs whose groups split and
+# merge. (6+eps) never reclusters, and gamma is unused on a full ladder
+# over a sliding or random stream.
 NAMED_CASES = [
     ("two", "adv", 12, 1.0, 2, 1.0, True, False),
     ("two", "adv", 16, 1.0, 1, 0.5, False, False),
@@ -156,18 +159,25 @@ NAMED_CASES = [
     ("two", "adv", 14, 2.0, 1, 1.0, True, True),
     ("two", "random", 30, 0.3, 2, 2.0, True, True),
     ("two", "random", 31, 0.2, 3, 0.5, False, True),
+    ("two", "sliding", 50, 1.0, 3, 0.25, True, False),
+    ("two", "sliding", 60, 1.0, 3, 0.25, False, False),
+    ("two", "random", 42, 1.0, 3, 0.25, True, False),
+    ("two", "random", 50, 1.0, 3, 0.25, False, False),
 ]
 
 
 def named_digest(spec):
     """A named case's name and its replay's digests. The stream's size n
-    sets the query spacing, 1 + n % 3, and a random stream's seed, n, and
-    dimension, 1 + n % 2."""
+    sets the query spacing, 1 + n % 3, and a random or sliding stream's
+    seed, n, and dimension, 1 + n % 2; a sliding window holds 2 + n % 9
+    points."""
     algo, kind, n, gamma, k, epsilon, reclustering, single = spec
     name = (f"{'single' if single else 'full'}-{algo}-{kind}-n{n}-g{gamma}-k{k}-e{epsilon}"
             + ("-rc" if reclustering and algo == "two" else ""))
     if kind == "adv":
         gen = adversarial_quadratic_stream(n, gamma)
+    elif kind == "sliding":
+        gen = sliding_window_stream(uniform_coords(n, 1 + n % 2, n)[0], 2 + n % 9)
     else:
         gen = random_lifetime_stream(n, 1 + n % 2, 9, n)
     c = _build(algo, gen, k, epsilon, reclustering, gamma if single else None)

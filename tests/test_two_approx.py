@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from dynkcenter import (
@@ -9,6 +11,7 @@ from dynkcenter import (
     sliding_window_stream,
 )
 from dynkcenter.audits import VanishingTracker, audit_two_approx
+from dynkcenter.core import GuessLadder
 from dynkcenter.errors import (
     InvalidBeta,
     InvalidParameter,
@@ -19,7 +22,7 @@ from dynkcenter.errors import (
     PastTime,
 )
 from dynkcenter.streamgen import uniform_coords
-from conftest import line_metric, line_points
+from conftest import assert_groups_tile_and_share, line_metric, line_points
 
 
 def replay_with_audit(gen, k, epsilon, reclustering_enabled=True):
@@ -491,3 +494,81 @@ class TestDistanceMemo:
                 for cls in (TwoApproxClustering, _Unmemoised)
             ]
             assert traces[0] == traces[1], seed
+
+
+SMALL_STREAMS = {
+    "sliding": lambda: sliding_window_stream(uniform_coords(120, 2, 3)[0], window=15),
+    "random": lambda: random_lifetime_stream(120, 2, 20, 4),
+    "h5": lambda: h_bounded_stream(120, 5, 2, 5),
+}
+
+
+class TestRungsStayIndependent:
+    """However the structure shares work between rungs, every rung must
+    behave as a structure with that rung alone would. Each twin pushes and
+    pops every point on its own queue, which the full structure counts
+    once, not once per rung."""
+
+    @pytest.mark.parametrize("reclustering_enabled", [True, False],
+                             ids=["reclustering", "no-reclustering"])
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_each_rung_matches_its_one_rung_twin(self, name, reclustering_enabled):
+        gen = SMALL_STREAMS[name]()
+        d_min, d_max = gen.stream.d_min, gen.stream.d_max
+        full = TwoApproxClustering(3, 0.5, d_min, d_max, gen.metric.clone(),
+                                   reclustering_enabled)
+        twins = [
+            TwoApproxClustering(3, 0.5, d_min, d_max, gen.metric.clone(),
+                                reclustering_enabled, GuessLadder(full.ladder.beta, (g,)))
+            for g in full.ladder
+        ]
+        points = gen.stream.points
+        for i, p in enumerate(points):
+            for c in [full, *twins]:
+                c.update(p)
+                if i % 3 == 0 and i + 1 < len(points):
+                    # The next arrival's expiries, in an update of their own.
+                    c.update(None, points[i + 1].t_arr)
+            for st, twin in zip(full.states, twins):
+                assert rung_state(st) == rung_state(twin.states[0])
+            queue_ops = 2 * (i + 1) - len(full.queue)  # its pushes and its pops
+            assert full.ops == sum(twin.ops for twin in twins) - (len(twins) - 1) * queue_ops
+            assert full.metric.evals == sum(twin.metric.evals for twin in twins)
+
+
+class TestGroupsTileAndShare:
+    """After every update, arrival or expiry-only, and in a deep copy of a
+    warmed structure, the groups tile the ladder and every rung of a group
+    holds its first rung's clusters and unclustered set. Neighbours that
+    only an expiry made equal may stay apart, so maximality is not checked."""
+
+    @staticmethod
+    def replay(c, points):
+        for i, p in enumerate(points):
+            c.update(p)
+            assert_groups_tile_and_share(c, maximal=False)
+            if i % 3 == 0 and i + 1 < len(points):
+                c.update(None, points[i + 1].t_arr)
+                assert_groups_tile_and_share(c, maximal=False)
+
+    @pytest.mark.parametrize("reclustering_enabled", [True, False],
+                             ids=["reclustering", "no-reclustering"])
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_after_every_update(self, name, reclustering_enabled):
+        gen = SMALL_STREAMS[name]()
+        c = TwoApproxClustering(3, 0.5, gen.stream.d_min, gen.stream.d_max,
+                                gen.metric.clone(), reclustering_enabled)
+        self.replay(c, gen.stream.points)
+
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_in_a_deep_copy_of_a_warmed_structure(self, name):
+        gen = SMALL_STREAMS[name]()
+        points = gen.stream.points
+        c = TwoApproxClustering(3, 0.5, gen.stream.d_min, gen.stream.d_max,
+                                gen.metric.clone())
+        for p in points[:60]:
+            c.update(p)
+        twin = copy.deepcopy(c)
+        assert 1 < len(twin._groups) < len(twin.states)
+        assert_groups_tile_and_share(twin, maximal=False)
+        self.replay(twin, points[60:])
