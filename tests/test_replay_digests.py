@@ -1,13 +1,14 @@
 """Sameness across commits: per-update digests of replays of both
-structures, a seeded grid and a list of named cases, checked against
-`replay_digests.json`.
+structures, a seeded grid and a list of named cases, and per-row digests
+of `runner.run` reports, checked against `replay_digests.json`.
 
 Each digest hashes what an update leaves observable: every rung's state,
 `ops`, `evals`, `stored_points()`, the peaks and, where the update is
 followed by a query, the answer's rung index, center ids, witness ids and
 its radius over the active set as the report writes it (`runner._fmt`).
-Raw distances are never hashed, so the file does not depend on how a
-platform rounds the last bit of a float that no test can observe.
+A report's digest hashes each row's CSV text, as `dynkcenter run --report`
+writes it. Raw distances are never hashed, so the file does not depend on
+how a platform rounds the last bit of a float that no test can observe.
 
 A change that alters results on purpose regenerates the file and says
 which replays changed and why:
@@ -24,16 +25,19 @@ import pathlib
 import sys
 
 from dynkcenter import (
+    RunConfig,
     SixApproxClustering,
     TwoApproxClustering,
     adversarial_quadratic_stream,
     h_bounded_stream,
     random_lifetime_stream,
+    run,
     sliding_window_stream,
+    validate_stream,
 )
 from dynkcenter.errors import NoFeasibleGuess
 from dynkcenter.oracle import radius
-from dynkcenter.runner import _fmt
+from dynkcenter.runner import CSV_COLUMNS, _fmt
 from dynkcenter.streamgen import uniform_coords
 from test_two_approx import rung_state
 
@@ -127,9 +131,12 @@ def replay(algo, gen, c, every):
                 if algo == "two":
                     w = c.witness()
                     row.append(None if w is None else [x.id for x in w])
-        text = json.dumps(row, separators=(",", ":"))
-        digests.append(hashlib.sha256(text.encode()).hexdigest()[:12])
+        digests.append(_digest(json.dumps(row, separators=(",", ":"))))
     return digests
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def replay_digest(seed):
@@ -184,10 +191,53 @@ def named_digest(spec):
     return name, replay(algo, gen, c, 1 + n % 3)
 
 
+# Reports of `dynkcenter run` and `verify` with `--prescan --queries every`,
+# as (command, algo, stream, n, k, epsilon): random and sliding Euclidean
+# streams in the plane and the adversarial stream over its distance table
+# at gamma 1. Under verify every row carries the enumerated optimum, so at
+# most 16 points are active: a random stream's points live at most 12 steps
+# and a sliding window holds 10.
+REPORT_CASES = [
+    ("run", "two", "random", 80, 3, 1.0),
+    ("run", "six", "random", 80, 3, 1.0),
+    ("run", "two", "sliding", 90, 3, 0.5),
+    ("run", "six", "sliding", 90, 3, 0.5),
+    ("run", "two", "adv", 20, 2, 1.0),
+    ("run", "six", "adv", 20, 2, 1.0),
+    ("verify", "two", "random", 40, 2, 1.0),
+    ("verify", "six", "random", 40, 2, 1.0),
+    ("verify", "two", "sliding", 45, 3, 1.0),
+    ("verify", "six", "sliding", 45, 3, 1.0),
+    ("verify", "two", "adv", 8, 2, 1.0),
+    ("verify", "six", "adv", 8, 2, 1.0),
+]
+
+
+def report_digest(spec):
+    """A report case's name and one digest per report row. The stream's
+    size n is also a random or sliding stream's seed."""
+    command, algo, kind, n, k, epsilon = spec
+    name = f"report-{command}-{algo}-{kind}-n{n}-k{k}-e{epsilon}"
+    if kind == "adv":
+        gen = adversarial_quadratic_stream(n, 1.0)
+    elif kind == "sliding":
+        gen = sliding_window_stream(uniform_coords(n, 2, n)[0], 10)
+    else:
+        gen = random_lifetime_stream(n, 2, 12, n)
+    metric = gen.metric.clone()
+    stream = validate_stream(gen.stream.points, metric)  # the bounds --prescan measures
+    config = RunConfig(algo, k, epsilon, stream.d_min, stream.d_max, queries="every",
+                       verify=command == "verify")
+    rows = run(config, stream, metric).rows
+    return name, [_digest(",".join(_fmt(row[c]) for c in CSV_COLUMNS)) for row in rows]
+
+
 def all_digests():
-    """Every replay by name. The named cases come first, so that one added
-    at the end of `NAMED_CASES` only adds lines to the recorded file."""
+    """Every replay and report by name. The named cases and the reports
+    come before the seeded grid, so that one added at the end of
+    `NAMED_CASES` or `REPORT_CASES` only adds lines to the recorded file."""
     return dict([named_digest(spec) for spec in NAMED_CASES]
+                + [report_digest(spec) for spec in REPORT_CASES]
                 + [replay_digest(seed) for seed in range(N_CASES)])
 
 
