@@ -44,9 +44,9 @@ PAIRWISE_CHECK_CAP = 500
 # and a tiny beta would otherwise walk or build for hours.
 MAX_RUNGS = 100_000
 
-# Side of the square tiles in which the vectorized `extremes` scans the
-# upper triangle of pairs: 256 x 256 = 2**16 pair distances per tile, so its
-# memory stays bounded whatever n is.
+# Side of the square tiles in which `Metric.extremes` scans the upper
+# triangle of pairs through `_block`: 256 x 256 = 2**16 pair distances per
+# tile, so its memory stays bounded whatever n is.
 _TILE = 256
 
 
@@ -72,10 +72,13 @@ def deletion_key(p: TimedPoint):
 class Metric:
     """Distance backend with a per-instance evaluation counter.
 
-    Every ``distance`` call increments ``evals``, and ``extremes`` adds one
-    per pair it covers; the time-bound acceptance checks are stated in
-    terms of this counter, so it is part of the contract rather than debug
-    output.
+    Every ``distance`` call adds one to ``evals``, every ``block`` one per
+    entry of the array it returns, and ``extremes`` one per pair it covers;
+    the time-bound acceptance checks are stated in terms of this counter,
+    so it is part of the contract rather than debug output. A backend
+    supplies ``_dist(a, b)`` over two payloads and may supply ``_block(xs,
+    ys)``, their array over two non-empty payload lists, whose every entry
+    equals ``_dist``'s bit for bit.
     """
 
     def __init__(self):
@@ -91,30 +94,35 @@ class Metric:
     def _dist(self, a, b) -> float:
         raise NotImplementedError
 
-    def extremes(self, points) -> tuple:
-        """(min, max) distance over all pairs of `points`.
+    def block(self, ps, qs) -> np.ndarray:
+        """The |ps| x |qs| array of distances d(p, q), each equal to
+        `distance`'s. Raises MetricError as `distance` does."""
+        if not (len(ps) and len(qs)):
+            return np.empty((len(ps), len(qs)))
+        try:
+            d = self._block([p.payload for p in ps], [q.payload for q in qs])
+        except (TypeError, IndexError, ValueError) as e:
+            raise MetricError(f"cannot measure the distances: {e}") from e
+        self.evals += d.size
+        return d
 
-        Counts n(n-1)/2 evaluations, one per pair, whichever backend scans.
-        Raises TooFewPoints below two points, MetricError as `distance` does.
-        """
+    def _block(self, xs, ys) -> np.ndarray:
+        """Scalar loop for backends without a vectorized one."""
+        return np.array([[self._dist(x, y) for y in ys] for x in xs], dtype=float)
+
+    def extremes(self, points) -> tuple:
+        """(min, max) distance over all pairs of `points`, scanned through
+        `_block` in tiles; counts n(n-1)/2 evaluations, one per pair. Raises
+        TooFewPoints below two points, MetricError as `distance` does."""
         n = len(points)
         if n < 2:
             raise TooFewPoints("need at least two points")
+        xs = [p.payload for p in points]
         try:
-            lo, hi = self._extremes(points)
+            lo, hi = _tile_extremes(n, lambda rows, cols: self._block(xs[rows], xs[cols]))
         except (TypeError, IndexError, ValueError) as e:
             raise MetricError(f"cannot measure the pairwise distances: {e}") from e
         self.evals += n * (n - 1) // 2
-        return lo, hi
-
-    def _extremes(self, points) -> tuple:
-        """Scalar scan for backends without a vectorized one."""
-        lo, hi = math.inf, -math.inf
-        for i, p in enumerate(points):
-            for q in points[i + 1 :]:
-                d = self._dist(p.payload, q.payload)
-                lo = min(lo, d)
-                hi = max(hi, d)
         return lo, hi
 
     def clone(self):
@@ -133,33 +141,29 @@ class EuclideanMetric(Metric):
     def _dist(self, a, b):
         if len(a) != self.dim or len(b) != self.dim:
             raise MetricError("payload dimension mismatch")
-        # Squares by multiplication and added left to right from zero, as the
-        # vectorized `extremes` takes them: `** 2` goes through libm pow, and
-        # `sum` compensates float addition from CPython 3.12 on, so either
-        # can round differently.
+        # Squares by multiplication and added left to right from zero, as
+        # `_block` takes them: `** 2` goes through libm pow, and `sum`
+        # compensates float addition from CPython 3.12 on, so either can
+        # round differently.
         s = 0.0
         for x, y in zip(a, b):
             d = x - y
             s += d * d
         return math.sqrt(s)
 
-    def _extremes(self, points):
-        x = np.array([p.payload for p in points], dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.dim:
+    def _block(self, xs, ys):
+        x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        if x.shape[1:] != (self.dim,) or y.shape[1:] != (self.dim,):
             raise MetricError("payload dimension mismatch")
-
-        def squared(rows, cols):
-            # Squares added column by column from zero, as `_dist`'s loop
-            # adds them, so every distance equals the scalar one bit for
-            # bit; sqrt is monotone, so it is taken of the extremes only.
-            s = 0.0
-            for k in range(self.dim):
-                diff = x[rows, k, None] - x[None, cols, k]
-                s = s + diff * diff
-            return s
-
-        lo, hi = _tile_extremes(len(x), squared)
-        return math.sqrt(lo), math.sqrt(hi)
+        # Column by column, in place, as `_dist`'s loop adds them; 0.0 plus
+        # the first square is that square.
+        s = np.subtract.outer(x[:, 0], y[:, 0])
+        s *= s
+        for k in range(1, self.dim):
+            d = np.subtract.outer(x[:, k], y[:, k])
+            d *= d
+            s += d
+        return np.sqrt(s, out=s)
 
     def clone(self):
         return EuclideanMetric(self.dim)
@@ -198,15 +202,12 @@ class MatrixMetric(Metric):
             raise IndexOutOfRange(f"matrix metric index out of range: {a}, {b}")
         return float(self.table[a][b])
 
-    def _extremes(self, points):
-        idx = np.array([p.payload for p in points])
-        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
-            (idx < 0) | (idx >= self.n)
-        ).any():
+    def _block(self, xs, ys):
+        idx = np.array(xs), np.array(ys)
+        if any(i.ndim != 1 or i.dtype.kind not in "iu" or ((i < 0) | (i >= self.n)).any()
+               for i in idx):
             raise IndexOutOfRange("matrix metric index out of range in points")
-        return _tile_extremes(
-            len(idx), lambda rows, cols: self.table[np.ix_(idx[rows], idx[cols])]
-        )
+        return self.table[np.ix_(*idx)]
 
     def clone(self):
         m = MatrixMetric.__new__(MatrixMetric)
@@ -463,15 +464,14 @@ def validate_stream(
     metric: Metric,
     d_min: float | None = None,
     d_max: float | None = None,
-    pairwise_cap: int = PAIRWISE_CHECK_CAP,
 ) -> EventStream:
     """Check lifetimes and id and arrival uniqueness, and decide the
     stream's distance bounds; points are returned sorted by arrival time.
 
     With no bounds, one `Metric.extremes` scan measures them, (1.0, 1.0)
     below two points. With both, the same scan checks them, but only when
-    len(points) <= pairwise_cap; pass 0 to disable it. Exactly one bound
-    raises InvalidBounds. Scans count on a clone, not on `metric`.
+    len(points) <= PAIRWISE_CHECK_CAP, as read at the call. Exactly one
+    bound raises InvalidBounds. Scans count on a clone, not on `metric`.
     """
     if (d_min is None) != (d_max is None):
         raise InvalidBounds("give both distance bounds or neither")
@@ -488,7 +488,7 @@ def validate_stream(
         ids.add(p.id)
     if d_min is None:
         d_min, d_max = metric.clone().extremes(pts) if len(pts) >= 2 else (1.0, 1.0)
-    elif 2 <= len(pts) <= pairwise_cap:
+    elif 2 <= len(pts) <= PAIRWISE_CHECK_CAP:
         lo, hi = metric.clone().extremes(pts)
         if not (d_min <= lo and hi <= d_max):
             raise DistanceOutOfRange(
@@ -502,8 +502,8 @@ def _pair_outside(metric: Metric, points, d_min, d_max, lo, hi) -> str:
     """Names the first pair, in scan order, whose distance lies outside the
     bounds; falls back to the extremes if no single distance does."""
     for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            d = metric.distance(p, q)
+        rest = points[i + 1 :]
+        for q, d in zip(rest, metric.block([p], rest)[0].tolist()):
             if not (d_min <= d <= d_max):
                 return f"d({p.id},{q.id})={d}"
     return f"distances in [{lo}, {hi}]"

@@ -33,19 +33,20 @@ def radius(metric: Metric, centers, points) -> float:
         raise EmptyCenters("radius needs at least one center")
     if not points:
         raise EmptyPoints("radius needs at least one point")
-    worst = 0.0
-    for p in points:
-        best = min(metric.distance(p, c) for c in centers)
-        if best > worst:
-            worst = best
-    return worst
+    return _worst(metric.block(points, centers))
+
+
+def _worst(d) -> float:
+    """Max over rows of the row minimum; 0.0, not -0.0, when that is zero."""
+    return max(0.0, float(d.min(axis=1).max()))
 
 
 def exact_kcenter(metric: Metric, points, k: int, cap: int = ENUMERATION_CAP) -> Solution:
     """Optimal k-center by enumerating all size-k subsets.
 
     Ties between optimal subsets resolve to the lexicographically smallest
-    id tuple, so the oracle is deterministic.
+    id tuple, so the oracle is deterministic. Each subset is scored from
+    the columns of one n x n `Metric.block`, which counts n * n evaluations.
     """
     if len(points) > cap:
         raise TooLargeForEnumeration(f"{len(points)} points > cap {cap}")
@@ -54,12 +55,9 @@ def exact_kcenter(metric: Metric, points, k: int, cap: int = ENUMERATION_CAP) ->
     pts = sorted(points, key=lambda p: p.id)
     if len(pts) <= k:
         return Solution(list(pts), 0.0)
-    best = None
-    for combo in combinations(pts, k):
-        r = radius(metric, combo, pts)
-        if best is None or r < best.radius:
-            best = Solution(list(combo), r)
-    return best
+    d = metric.block(pts, pts)
+    r, combo = min((_worst(d[:, c]), c) for c in combinations(range(len(pts)), k))
+    return Solution([pts[i] for i in combo], r)
 
 
 def greedy_cover(metric: Metric, points, threshold: float, k: int):

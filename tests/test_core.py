@@ -17,6 +17,7 @@ from dynkcenter import (
     sliding_window_stream,
     validate_stream,
 )
+from dynkcenter import core
 from dynkcenter.core import (
     MAX_RUNGS,
     _TILE,
@@ -170,9 +171,10 @@ class TestValidateStream:
         with pytest.raises(DistanceOutOfRange):
             validate_stream(pts, line_metric(), 1, 10)
 
-    def test_pairwise_check_skipped_above_cap(self):
+    def test_pairwise_check_skipped_above_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "PAIRWISE_CHECK_CAP", 0)
         pts = line_points([(1, 0, 1, 9), (2, 100, 2, 9)])
-        stream = validate_stream(pts, line_metric(), 1, 10, pairwise_cap=0)
+        stream = validate_stream(pts, line_metric(), 1, 10)
         assert len(stream.points) == 2
 
     def test_duplicate_id(self):
@@ -294,6 +296,13 @@ def scalar_extremes(metric, points):
     return min(ds), max(ds)
 
 
+def assert_block_is_scalar(metric, ps, qs):
+    """`block(ps, qs)` holds `distance(p, q)` at [i, j], as equal floats."""
+    d = metric.block(ps, qs)
+    assert d.shape == (len(ps), len(qs))
+    assert d.tolist() == [[metric.clone().distance(p, q) for q in qs] for p in ps]
+
+
 def coord_points(coords):
     return [TimedPoint(i, tuple(float(x) for x in c), i + 1, i + 2) for i, c in enumerate(coords)]
 
@@ -322,6 +331,8 @@ class TestExtremes:
         pts = coord_points(coords)
         dim = len(coords[0])
         assert EuclideanMetric(dim).extremes(pts) == scalar_extremes(EuclideanMetric(dim), pts)
+        assert_block_is_scalar(EuclideanMetric(dim), pts, pts)
+        assert_block_is_scalar(EuclideanMetric(dim), pts[1:], pts[::2])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -337,6 +348,7 @@ class TestExtremes:
             coords[-1] = coords[0]
         pts = coord_points(coords)
         assert EuclideanMetric(dim).extremes(pts) == scalar_extremes(EuclideanMetric(dim), pts)
+        assert_block_is_scalar(EuclideanMetric(dim), pts[:2], pts)  # row 0 meets its copy
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.sampled_from(TILE_SIZES), st.integers(0, 2**32 - 1))
@@ -347,6 +359,8 @@ class TestExtremes:
         metric = MatrixMetric(table)
         pts = [TimedPoint(i, int(a), i + 1, i + 2) for i, a in enumerate(rng.integers(0, m, n))]
         assert metric.extremes(pts) == scalar_extremes(metric.clone(), pts)
+        assert_block_is_scalar(metric, pts[:3], pts)
+        assert_block_is_scalar(metric, pts, pts[-2:])
 
     @pytest.mark.parametrize("n", TILE_SIZES)
     def test_evals_rise_by_pair_count(self, n):
@@ -362,10 +376,18 @@ class TestExtremes:
             metric.evals = 5
             metric.extremes(pts)
             assert metric.evals == 5 + n * (n - 1) // 2
+            metric.evals = 5
+            metric.block(pts, pts[:2])
+            assert metric.evals == 5 + 2 * n
+            assert metric.block([], pts).shape == (0, n)
+            assert metric.block(pts, []).shape == (n, 0)
+            assert metric.evals == 5 + 2 * n
 
     def test_base_scan_equals_scalar(self):
         pts = [TimedPoint(i, x, i + 1, i + 2) for i, x in enumerate([4, 9, 4, -3])]
         assert LineMetric().extremes(pts) == scalar_extremes(LineMetric(), pts) == (0.0, 12.0)
+        assert_block_is_scalar(LineMetric(), pts, pts)
+        assert_block_is_scalar(LineMetric(), pts[1:2], pts)
 
     def test_too_few_points(self):
         for metric, p in ((EuclideanMetric(1), (0.0,)), (MatrixMetric([[0]]), 0),
@@ -379,17 +401,32 @@ class TestExtremes:
             MatrixMetric([[0, 1], [1, 0]]).extremes(pts)
         with pytest.raises(IndexOutOfRange):
             MatrixMetric([[0, 1], [1, 0]]).extremes([pts[0], TimedPoint(1, -1, 2, 3)])
+        for bad in (2, -1, 1.0, (1,)):
+            metric = MatrixMetric([[0, 1], [1, 0]])
+            with pytest.raises(IndexOutOfRange):
+                metric.block(pts[:1], [TimedPoint(1, bad, 2, 3)])
+            with pytest.raises(IndexOutOfRange):
+                metric.block([TimedPoint(1, bad, 2, 3)], pts[:1])
+            assert metric.evals == 0
 
     def test_unreadable_payload_in_the_base_scan_is_a_metric_error(self):
         pts = [TimedPoint(0, (1.0,), 1, 2), TimedPoint(1, (2.0,), 2, 3)]
         with pytest.raises(MetricError):
             LineMetric().extremes(pts)
+        with pytest.raises(MetricError):
+            LineMetric().block(pts[:1], pts)
 
     def test_euclidean_dimension_mismatch(self):
         with pytest.raises(MetricError):
             EuclideanMetric(2).extremes(coord_points([(0.0, 1.0), (2.0, 3.0), (1.0,)]))
         with pytest.raises(MetricError):
             EuclideanMetric(2).extremes(coord_points([(0.0,), (2.0,)]))
+        pts = coord_points([(0.0, 1.0), (2.0, 3.0), (1.0,), (0.0, 1.0, 2.0)])
+        for ps, qs in ((pts[:2], pts[2:3]), (pts[3:], pts[:2]), (pts[:3], pts[:1])):
+            with pytest.raises(MetricError):
+                EuclideanMetric(2).block(ps, qs)
+        with pytest.raises(MetricError):
+            EuclideanMetric(1).block([TimedPoint(0, 0.5, 1, 2)], pts[2:3])
 
 
 class TestLoaders:

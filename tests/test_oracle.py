@@ -1,7 +1,16 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynkcenter import exact_kcenter, greedy_cover, pairwise_extremes, radius
+from dynkcenter import (
+    MatrixMetric,
+    TimedPoint,
+    exact_kcenter,
+    greedy_cover,
+    pairwise_extremes,
+    radius,
+)
 from dynkcenter.errors import (
     EmptyCenters,
     EmptyPoints,
@@ -23,6 +32,13 @@ class TestRadius:
     def test_two_centers(self):
         pts = line_points([(0, 0, 1, 9), (1, 4, 2, 9), (2, 10, 3, 9)])
         assert radius(line_metric(), [pts[0], pts[2]], pts) == 4.0
+
+    def test_zero_is_positive_zero(self):
+        """A table may hold -0.0 on its diagonal; the radius is still 0.0."""
+        metric = MatrixMetric([[-0.0, 2.0], [2.0, -0.0]])
+        pts = [TimedPoint(i, i, i + 1, 9) for i in range(2)]
+        r = radius(metric, pts, pts)
+        assert type(r) is float and math.copysign(1.0, r) == 1.0
 
     def test_empty_args(self):
         pts = line_points([(0, 0, 1, 9)])
@@ -47,6 +63,17 @@ class TestExactKCenter:
         pts = line_points([(0, 0, 1, 9), (1, 4, 2, 9), (2, 10, 3, 9)])
         sol = exact_kcenter(line_metric(), pts, 2)
         assert sol.radius == 4.0
+
+    def test_tie_goes_to_the_smallest_id_tuple(self):
+        """Centers {1 or 3} x {2 or 4} all reach radius 1, and (1, 2) wins
+        whatever order the points come in; (1, 3), first in id order, has
+        radius 10. One n x n block counts n * n evaluations."""
+        rows = [(3, 0, 1, 9), (1, 1, 2, 9), (2, 10, 3, 9), (4, 11, 4, 9)]
+        for pts in (line_points(rows), line_points(rows[::-1])):
+            m = line_metric()
+            sol = exact_kcenter(m, pts, 2)
+            assert sol.center_ids == [1, 2] and sol.radius == 1.0
+            assert m.evals == 16
 
     def test_cap_enforced(self):
         pts = line_points([(i, i, i + 1, 99) for i in range(5)])
