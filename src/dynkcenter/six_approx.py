@@ -162,11 +162,7 @@ class SixApproxClustering(LadderClustering):
                 else:  # the displaced representative is dropped
                     best.rep, best.key = p, key
                     self.ops += (e - s) * (n + within + 1)
-                if groups and _same(states[groups[-1][0]], part):
-                    self._share(s, e, states[groups[-1][0]])
-                    groups[-1] = (groups[-1][0], e)
-                else:
-                    groups.append((s, e))
+                self._join(groups, s, e)
         # The loop counted every rung's tests, `distance` each call again.
         self.metric.evals += evals - len(memo)
         self._groups = groups

@@ -13,17 +13,16 @@ Neighbouring rungs whose states are equal share one: `LadderClustering`
 keeps these groups, and an update runs once per group, in one pass over
 the groups. Rung i tests d <= 2*gamma_i, so inside a group [lo, hi) only a
 tested distance in (2*gamma_lo, 2*gamma_(hi-1)] can have different
-outcomes. An arrival tests p first-fit against the centers at rung lo. A
-center at such a distance is the first fit of the rungs from
-`bisect_left` of it on, so the group is cut there, on copies of its state
-taken before p is placed, and p is placed once per part. A center's deletion (reassignment
-with `_place`, promotion with `_open_longest_lived`) and a reclustering
-round test distances that depend on earlier outcomes, so `_step` runs them
-at rung lo and notes the least tested distance in that range: the rungs
-below it keep the result, and the rest rerun the step from a copy taken
-before it. Whether a round starts depends only on counters, the same on
-every rung of a group. Counters keep their per-rung meaning: a group of m
-rungs counts m ops per operation and m evaluations per test.
+outcomes. One cut rule serves every change. The change runs at rung lo
+and notes the least distance in that range that it tested false. The
+rungs below `bisect_left` of that distance keep the result; the rest leave
+on a copy of the state taken before the change, to run it again and maybe
+be cut again. The changes are an arrival's first-fit scan, which
+`_arrive` runs, and a center's deletion (reassignment with `_place`,
+promotion with `_open_longest_lived`) and a reclustering round, which
+`_step` runs. Whether a round starts depends only on counters, the same
+on every rung of a group. Counters keep their per-rung meaning: a group
+of m rungs counts m ops per operation and m evaluations per test.
 
 Equal neighbours are joined only around a step's parts. An arrival puts p
 in one place on each rung, and two states that differ still differ with p
@@ -40,13 +39,12 @@ unclustered points. `_recluster` finds the first cluster whose suffix
 breaks this, and `_rebuild` rebuilds from it and leaves none broken: for a
 suffix starting before it, the clusters in between had sum(persistent -
 vanishing) < 0, and no cluster it opens has a persistent point. So of an
-arrival's changes only a persistent attach can break a suffix. An expiry
-can break one only while the rung's clustered non-centers, the only points
-that can be persistent, outnumber its unclustered points plus one
-vanishing center. A group also keeps a lower bound on its slack, |U| minus
-the largest suffix sum, and a change that costs at most one of it scans
-only once the bound would fall below zero. Elsewhere the update counts the
-scan's len(clusters) ops without scanning.
+arrival's changes only a persistent attach can break a suffix. A group
+keeps a lower bound on its slack, |U| minus the largest suffix sum, which
+`_recluster` sets exactly whenever it scans. A change that costs at most
+one of it, an attach or a removal, scans only once the bound would fall
+below zero; a center's deletion always scans. Elsewhere the update counts
+the scan's len(clusters) ops without scanning.
 
 Each update memoises d(x, y) by the pair of point ids and computes every
 pair once. Every test still counts one evaluation in `metric.evals`,
@@ -171,95 +169,75 @@ class TwoApproxClustering(LadderClustering):
     # -- update ------------------------------------------------------------
 
     def _arrive(self, p):
-        """First-fit once per group, in one pass; see the module docstring."""
+        """First-fit once per part of each group, in one pass; see the module
+        docstring."""
         self._memo.clear()
+        k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
+        states, two_g = self.states, self._two_g
         dist = {}  # center id -> d(p, center), computed once per arrival
-        groups = []
-        tests, sized, _ = self._insert(p, self._groups, groups, dist, False)
+        groups, check = [], False
+        tests = sized = 0
+        for hi, end in self._groups:
+            while hi < end:  # one part [lo, hi) of the group per pass
+                lo, st = hi, states[hi]
+                clusters = st.clusters
+                g, top, cut = two_g[lo], two_g[end - 1], math.inf
+                for cl in clusters:
+                    c = cl.center
+                    d = dist.get(c.id)
+                    if d is None:
+                        d = dist[c.id] = self._dist(p, c)
+                    if d <= g:
+                        break
+                    if d <= top and d < cut:
+                        cut = d  # the least distance some rung up to top passes
+                else:
+                    cl = None  # no center within 2*gamma
+                hi = end
+                if cut <= top:
+                    # Rungs from the cut on fit a center before cl: they leave,
+                    # on a copy of the state taken before p changes it.
+                    hi = bisect_left(two_g, cut, lo + 1, end)
+                    self._split(hi, end, st)
+                m = hi - lo
+                n = len(clusters)
+                if cl is None:
+                    tests += m * n
+                    if n < k:
+                        clusters.append(_Cluster(p))
+                        n += 1
+                        # The new cluster's suffix sum is -1, maybe above the others.
+                        st.slack = min(st.slack, len(st.unclustered) + 1)
+                    else:
+                        st.unclustered[pid] = p
+                    sized += m * n
+                else:
+                    tests += m * (clusters.index(cl) + 1)
+                    sized += m * n
+                    cl.members[pid] = p
+                    if key <= cl.key:
+                        cl.vanishing += 1
+                    else:
+                        cl.persistent += 1
+                        if scan:
+                            st.slack -= 1  # the suffix sums up to p's cluster rose by one
+                            if st.slack < 0 and (t := self._recluster(st)) is not None:
+                                self._step(groups, lo, hi, self._rebuild, t)
+                                check = True
+                                continue
+                if check:  # the group after a rebuild's parts
+                    self._join(groups, lo, hi)
+                    check = False
+                else:
+                    groups.append((lo, hi))
         self._groups = groups
         self.queue.push(p)
         # The queue push; per rung, the attach, the opening or the unclustered
         # point, one op per test and, with reclustering, the balance scan.
-        self.ops += 1 + len(self.states) + tests + (sized if self.reclustering_enabled else 0)
+        self.ops += 1 + len(self.states) + tests + (sized if scan else 0)
         self.metric.evals += tests - len(dist)  # `_dist` counted the first of each
         # Only an arrival grows the stored set, so only here can the peak rise.
         self.peak_stored = max(self.peak_stored, self.stored_points())
-
-    def _insert(self, p, todo, groups, dist, check):
-        """Place p first-fit on each group of todo, appending the groups it
-        leaves to groups. Returns the tests and the clusters it saw, both
-        summed over rungs, and whether the last group appended must be
-        compared with the next one."""
-        k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
-        states, two_g = self.states, self._two_g
-        tests = sized = 0
-        for grp in todo:
-            lo, hi = grp
-            st = states[lo]
-            clusters = st.clusters
-            g = two_g[lo]
-            top = two_g[hi - 1]
-            cuts = None
-            for cl in clusters:
-                c = cl.center
-                d = dist.get(c.id)
-                if d is None:
-                    d = dist[c.id] = self._dist(p, c)
-                if d <= g:
-                    break
-                if d <= top:
-                    # Rungs from bisect_left(d) on fit here first: a part of
-                    # their own, unless a center before fits them already.
-                    s = bisect_left(two_g, d, lo, hi)
-                    if cuts is None:
-                        cuts = [s]
-                    elif s < cuts[-1]:
-                        cuts.append(s)
-            else:
-                cl = None  # no center within 2*gamma
-            if cuts is not None:
-                # Copies come from the state as expired, before p changes it;
-                # each part then finds its own first fit, the same on all its rungs.
-                bounds = [lo, *reversed(cuts), hi]
-                parts = list(zip(bounds, bounds[1:]))
-                for s, e in parts[1:]:
-                    self._split(s, e, st)
-                t, n, check = self._insert(p, parts, groups, dist, check)
-                tests, sized = tests + t, sized + n
-                continue
-            m = hi - lo
-            n = len(clusters)
-            if cl is None:
-                tests += m * n
-                if n < k:
-                    clusters.append(_Cluster(p))
-                    n += 1
-                    # The new cluster's suffix sum is -1, maybe above the others.
-                    st.slack = min(st.slack, len(st.unclustered) + 1)
-                else:
-                    st.unclustered[pid] = p
-                sized += m * n
-            else:
-                tests += m * (clusters.index(cl) + 1)
-                sized += m * n
-                cl.members[pid] = p
-                if key <= cl.key:
-                    cl.vanishing += 1
-                else:
-                    cl.persistent += 1
-                    if scan:
-                        st.slack -= 1  # the suffix sums up to p's cluster rose by one
-                        if st.slack < 0 and (t := self._recluster(st)) is not None:
-                            for s, e in self._step(lo, hi, self._rebuild, t):
-                                self._join(groups, s, e)
-                            check = True
-                            continue
-            if check:  # the group after a rebuild's parts
-                self._join(groups, lo, hi)
-                check = False
-            else:
-                groups.append(grp)
-        return tests, sized, check
 
     def _expire(self, t):
         """Delete every stored point with t_del <= t, once per group, in one
@@ -274,7 +252,6 @@ class TwoApproxClustering(LadderClustering):
         while head is not None and head[0] <= t:
             q = self.queue.pop()
             qid = q.id
-            n = len(self.queue)  # what every rung holds once q is gone
             ops = 1  # the queue pop
             groups, check = [], False
             for grp in self._groups:
@@ -290,27 +267,19 @@ class TwoApproxClustering(LadderClustering):
                     else:
                         raise PointNotFound(f"point {qid} not stored for guess {st.gamma}")
                     if cl.center is q:
-                        for s, e in self._step(lo, hi, self._delete_center, i, q, n):
-                            self._join(groups, s, e)
+                        self._step(groups, lo, hi, self._delete_center, i, q)
                         check = True
                         continue
                     del cl.members[qid]
                     cl.vanishing -= 1  # q expires before the center it is stored with
                 m = hi - lo
                 if scan:
-                    size = len(st.clusters)
-                    ops += m * (size + 1)  # the removal and the balance scan
+                    ops += m * (len(st.clusters) + 1)  # the removal and the balance scan
                     st.slack -= 1  # |U| fell, or suffix sums rose, by one
-                    if st.slack < 0:
-                        # A suffix breaks balance only if its persistent points, at
-                        # most n - |U| - l, outnumber its vanishing center and U.
-                        if n - size - 1 <= 2 * len(st.unclustered):
-                            st.slack = 0
-                        elif (j := self._recluster(st)) is not None:
-                            for s, e in self._step(lo, hi, self._rebuild, j):
-                                self._join(groups, s, e)
-                            check = True
-                            continue
+                    if st.slack < 0 and (j := self._recluster(st)) is not None:
+                        self._step(groups, lo, hi, self._rebuild, j)
+                        check = True
+                        continue
                 else:
                     ops += m
                 if check:  # the group after a step's parts
@@ -333,15 +302,15 @@ class TwoApproxClustering(LadderClustering):
             self.metric.evals += 1
         return d
 
-    def _step(self, lo, hi, step, *args):
+    def _step(self, groups, lo, hi, step, *args):
         """Run ``step(st, g, top, *args)`` for the group of rungs [lo, hi)
-        and return the parts it leaves, in order. The step runs at rung lo,
-        g = 2*gamma_lo, and sets `_cut` to the least distance it tested in
-        (g, top], top = 2*gamma_(hi-1). Rungs below the cut agree with lo and
-        keep its result, counted once per rung; the rest rerun the step from
-        a copy taken before it, as a group of their own."""
-        states, two_g, parts = self.states, self._two_g, []
-        while True:
+        and join the parts it leaves to groups, in order. The step runs at
+        rung lo, g = 2*gamma_lo, and sets `_cut` to the least distance it
+        tested false in (g, top], top = 2*gamma_(hi-1). Rungs below the cut
+        agree with lo and keep its result, counted once per rung; the rest
+        rerun the step from a copy taken before it."""
+        states, two_g = self.states, self._two_g
+        while lo < hi:
             st = states[lo]
             if hi - lo > 1:
                 self._split(lo + 1, hi, st)
@@ -353,9 +322,7 @@ class TwoApproxClustering(LadderClustering):
                 self._share(lo + 1, e, st)
                 self.ops += (e - lo - 1) * (self.ops - ops)
                 self.metric.evals += (e - lo - 1) * (self.metric.evals - evals)
-            parts.append((lo, e))
-            if e == hi:
-                return parts
+            self._join(groups, lo, e)
             lo = e
 
     def _tested(self, d, top):
@@ -409,11 +376,11 @@ class TwoApproxClustering(LadderClustering):
                 rest.append(x)
         return rest
 
-    def _delete_center(self, st: TwoApproxGuessState, g, top, i, q, n):
+    def _delete_center(self, st: TwoApproxGuessState, g, top, i, q):
         """Reassign the members of the cluster i of center q first-fit to
         later or new clusters, or the unclustered set; drop the cluster;
         promote the longest-lived unclustered point, if any; then restore
-        balance among the n points left."""
+        balance."""
         cl = st.clusters[i]
         del cl.members[q.id]
         self.ops += 2  # finding the cluster, then removing q
@@ -426,10 +393,8 @@ class TwoApproxClustering(LadderClustering):
             st.unclustered.clear()  # in place, as the rungs of a group share it
             st.unclustered.update((x.id, x) for x in rest)
         if self.reclustering_enabled:
-            size = len(st.clusters)
-            self.ops += size
-            st.slack = 0  # where the bound below rules out a broken suffix
-            if n - size - 1 > 2 * len(st.unclustered) and (j := self._recluster(st)) is not None:
+            self.ops += len(st.clusters)
+            if (j := self._recluster(st)) is not None:
                 self._rebuild(st, g, top, j)
 
     def _recluster(self, st: TwoApproxGuessState):

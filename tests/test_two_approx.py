@@ -4,6 +4,7 @@ import pytest
 
 from dynkcenter import (
     EuclideanMetric,
+    MatrixMetric,
     TimedPoint,
     TwoApproxClustering,
     h_bounded_stream,
@@ -534,6 +535,35 @@ class TestRungsStayIndependent:
             queue_ops = 2 * (i + 1) - len(full.queue)  # its pushes and its pops
             assert full.ops == sum(twin.ops for twin in twins) - (len(twins) - 1) * queue_ops
             assert full.metric.evals == sum(twin.metric.evals for twin in twins)
+
+
+    def test_an_arrival_that_cuts_a_group_into_four_parts(self):
+        """Centers 0, 1 and 2 are 0.75 apart, and point 3 is 0.70, 0.64 and
+        0.60 from them. On the rungs of 2*gamma 0.58, 0.62, 0.66 and 0.72,
+        which share one state, point 3 stays unclustered on the first and
+        is a vanishing member of centers 2, 1 and 0 on the others."""
+        table = [[0, 0.75, 0.75, 0.70],
+                 [0.75, 0, 0.75, 0.64],
+                 [0.75, 0.75, 0, 0.60],
+                 [0.70, 0.64, 0.60, 0]]
+        points = [TimedPoint(i, i, i, 100) for i in range(3)] + [TimedPoint(3, 3, 3, 10)]
+        ladder = GuessLadder(1.0, (0.29, 0.31, 0.33, 0.36))
+        full = TwoApproxClustering(3, 1.0, 0.29, 0.36, MatrixMetric(table), ladder=ladder)
+        twins = [TwoApproxClustering(3, 1.0, g, g, MatrixMetric(table),
+                                     ladder=GuessLadder(1.0, (g,)))
+                 for g in ladder]
+        for c in [full, *twins]:
+            for p in points:
+                c.update(p)
+        assert full._groups == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert tuple(full.states[0].unclustered) == (points[3],)
+        for st, center in zip(full.states[1:], (2, 1, 0)):
+            assert list(st.clusters[center].members.keys()) == [center, 3]
+        for st, twin in zip(full.states, twins):
+            assert rung_state(st) == rung_state(twin.states[0])
+        queue_ops = len(points)  # its pushes; nothing has expired
+        assert full.ops == sum(twin.ops for twin in twins) - (len(twins) - 1) * queue_ops
+        assert full.metric.evals == sum(twin.metric.evals for twin in twins)
 
 
 class TestGroupsTileAndShare:
