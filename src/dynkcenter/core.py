@@ -44,7 +44,7 @@ PAIRWISE_CHECK_CAP = 500
 # and a tiny beta would otherwise walk or build for hours.
 MAX_RUNGS = 100_000
 
-# Side of the square tiles in which `Metric.extremes` scans the upper
+# Side of the square tiles in which `Metric._pairs` walks the upper
 # triangle of pairs through `_block`: 256 x 256 = 2**16 pair distances per
 # tile, so its memory stays bounded whatever n is.
 _TILE = 256
@@ -111,19 +111,36 @@ class Metric:
         return np.array([[self._dist(x, y) for y in ys] for x in xs], dtype=float)
 
     def extremes(self, points) -> tuple:
-        """(min, max) distance over all pairs of `points`, scanned through
-        `_block` in tiles; counts n(n-1)/2 evaluations, one per pair. Raises
-        TooFewPoints below two points, MetricError as `distance` does."""
+        """(min, max) distance over all pairs of `points`, in one `_pairs`
+        walk; counts n(n-1)/2 evaluations, one per pair. Raises TooFewPoints
+        below two points, MetricError as `distance` does."""
         n = len(points)
         if n < 2:
             raise TooFewPoints("need at least two points")
-        xs = [p.payload for p in points]
-        try:
-            lo, hi = _tile_extremes(n, lambda rows, cols: self._block(xs[rows], xs[cols]))
-        except (TypeError, IndexError, ValueError) as e:
-            raise MetricError(f"cannot measure the pairwise distances: {e}") from e
+        lo, hi = np.inf, -np.inf
+        for _, _, vals, upper in self._pairs(points):
+            if upper is not None:
+                vals = vals[upper]
+            lo = np.minimum(lo, vals.min())
+            hi = np.maximum(hi, vals.max())
         self.evals += n * (n - 1) // 2
-        return lo, hi
+        return float(lo), float(hi)
+
+    def _pairs(self, points):
+        """Yields (r, c, vals, upper) per _TILE x _TILE tile of the pairs i < j,
+        in row-major order, each read once by `_block`: vals[a, b] is
+        d(points[r + a], points[c + b]); upper masks a < b on diagonal tiles, else
+        None. Counts no evaluations; raises MetricError as `distance` does."""
+        xs = [p.payload for p in points]
+        upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+        for r in range(0, len(xs) - 1, _TILE):
+            rows = xs[r : r + _TILE]
+            for c in range(r, len(xs), _TILE):
+                try:
+                    vals = self._block(rows, xs[c : c + _TILE])
+                except (TypeError, IndexError, ValueError) as e:
+                    raise MetricError(f"cannot measure the pairwise distances: {e}") from e
+                yield r, c, vals, upper[: len(rows), : len(rows)] if c == r else None
 
     def clone(self):
         """Fresh counter, same structure. Used to keep audit/oracle distance
@@ -217,24 +234,6 @@ class MatrixMetric(Metric):
         return m
 
 
-def _tile_extremes(n: int, block):
-    """Min and max of `block(rows, cols)`, an array of pair values for two
-    slices of 0..n-1, over all pairs i < j, one tile at a time. A NaN value
-    propagates, so callers comparing against bounds see it."""
-    upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
-    lo, hi = np.inf, -np.inf
-    for r in range(0, n - 1, _TILE):
-        rows = slice(r, min(r + _TILE, n))
-        for c in range(r, n, _TILE):
-            vals = block(rows, slice(c, min(c + _TILE, n)))
-            if c == r:
-                m = rows.stop - r
-                vals = vals[upper[:m, :m]]
-            lo = np.minimum(lo, vals.min())
-            hi = np.maximum(hi, vals.max())
-    return float(lo), float(hi)
-
-
 @dataclass(frozen=True)
 class GuessLadder:
     """Radius guesses: non-empty, finite, non-negative (0 is legal) and strictly
@@ -303,9 +302,9 @@ class LadderClustering:
     ``_expire(t)`` drops what has expired by t and says whether it may have
     left equal neighbouring groups, ``_arrive(p)`` applies an arrival to
     every rung, and ``_answer()`` answers at the smallest feasible guess.
-    It also provides ``stored_points()`` and ``peak_stored``. RECLUSTERS
-    says whether it has the size-balance reclustering that
-    ``reclustering_enabled`` switches.
+    It also provides ``stored_points()`` and ``peak_stored``, and may add
+    checks of an arrival in ``_admit(p)``. RECLUSTERS says whether it has
+    the size-balance reclustering that ``reclustering_enabled`` switches.
 
     Neighbouring rungs whose states are equal share one. `_groups` lists
     the [lo, hi) rung ranges, in order, whose entries in `states` keep their
@@ -341,9 +340,11 @@ class LadderClustering:
         self.k = k
         self.epsilon = epsilon
         self.metric = metric
-        self.ladder = ladder if ladder is not None else build_guess_ladder(
-            d_min, d_max, epsilon / self.FACTOR
-        )
+        given = ladder is not None
+        self.ladder = ladder if given else build_guess_ladder(d_min, d_max, epsilon / self.FACTOR)
+        if not self.FACTOR * self.ladder.guesses[-1] < math.inf:  # the top rung's radius bound
+            msg = f"{self.FACTOR} x the top guess {self.ladder.guesses[-1]} overflows"
+            raise InvalidParameter(msg) if given else InvalidBounds(f"d_max {d_max}: {msg}")
         self.states = [self.State(g) for g in self.ladder]
         self._two_g = [2.0 * g for g in self.ladder]
         # All rungs start empty, so they start as one group.
@@ -408,17 +409,23 @@ class LadderClustering:
             self._join(groups, lo, hi)
         self._groups = groups
 
+    def _admit(self, p):
+        """A subclass's own checks of an arrival p, before anything changes."""
+
     def _advance(self, t, p=None):
         """Move the clock to t, first checking that t is a number, that time
-        does not run backwards and that an arrival p comes at its own time
-        t, after the previous one."""
+        does not run backwards and that an arrival p ends after it starts
+        and comes at its own time t, after the previous one."""
         if p is not None:
+            if not p.t_del > p.t_arr:  # also true for a NaN t_del
+                raise InvertedLifetime(f"point {p.id}: t_del={p.t_del} not after t_arr={p.t_arr}")
             if t != p.t_arr:
                 raise InvalidParameter(f"arrival {p.id} at time {t}, not at its t_arr {p.t_arr}")
             if p.t_arr <= self._last_arrival:
                 raise NonMonotoneArrival(f"arrival {p.t_arr} not after {self._last_arrival}")
             if p.t_arr < self._now:
                 raise NonMonotoneArrival(f"arrival {p.t_arr} before time {self._now}")
+            self._admit(p)
         if not t >= self._now:  # also true for a NaN t
             if t != t:
                 raise InvalidParameter(f"time {t} is not a number")
@@ -468,18 +475,18 @@ def validate_stream(
     """Check lifetimes and id and arrival uniqueness, and decide the
     stream's distance bounds; points are returned sorted by arrival time.
 
-    With no bounds, one `Metric.extremes` scan measures them, (1.0, 1.0)
-    below two points. With both, the same scan checks them, but only when
-    len(points) <= PAIRWISE_CHECK_CAP, as read at the call. Exactly one
-    bound raises InvalidBounds. Scans count on a clone, not on `metric`.
+    With no bounds, a `Metric.extremes` walk measures them, (1.0, 1.0) below
+    two points. With both and len(points) <= PAIRWISE_CHECK_CAP (read at the
+    call), a `Metric._pairs` walk checks them, up to the first pair outside (NaN
+    is) in tile order. One bound alone is InvalidBounds; walks count on a clone.
     """
     if (d_min is None) != (d_max is None):
         raise InvalidBounds("give both distance bounds or neither")
     pts = sorted(points, key=lambda p: p.t_arr)
     arrivals, ids = set(), set()
     for p in pts:
-        if p.t_arr >= p.t_del:
-            raise InvertedLifetime(f"point {p.id}: t_arr={p.t_arr} >= t_del={p.t_del}")
+        if not p.t_del > p.t_arr:  # also true for a NaN t_del
+            raise InvertedLifetime(f"point {p.id}: t_del={p.t_del} not after t_arr={p.t_arr}")
         if p.t_arr in arrivals:
             raise DuplicateArrival(f"arrival time {p.t_arr} used twice")
         if p.id in ids:
@@ -489,24 +496,15 @@ def validate_stream(
     if d_min is None:
         d_min, d_max = metric.clone().extremes(pts) if len(pts) >= 2 else (1.0, 1.0)
     elif 2 <= len(pts) <= PAIRWISE_CHECK_CAP:
-        lo, hi = metric.clone().extremes(pts)
-        if not (d_min <= lo and hi <= d_max):
-            raise DistanceOutOfRange(
-                f"{_pair_outside(metric.clone(), pts, d_min, d_max, lo, hi)} "
-                f"outside [{d_min}, {d_max}]"
-            )
+        for r, c, vals, upper in metric.clone()._pairs(pts):
+            outside = ~((d_min <= vals) & (vals <= d_max))
+            if upper is not None:
+                outside &= upper
+            if outside.any():
+                i, j = np.argwhere(outside)[0]
+                raise DistanceOutOfRange(f"d({pts[r + i].id},{pts[c + j].id})={float(vals[i, j])} "
+                                         f"outside [{d_min}, {d_max}]")
     return EventStream(pts, d_min, d_max)
-
-
-def _pair_outside(metric: Metric, points, d_min, d_max, lo, hi) -> str:
-    """Names the first pair, in scan order, whose distance lies outside the
-    bounds; falls back to the extremes if no single distance does."""
-    for i, p in enumerate(points):
-        rest = points[i + 1 :]
-        for q, d in zip(rest, metric.block([p], rest)[0].tolist()):
-            if not (d_min <= d <= d_max):
-                return f"d({p.id},{q.id})={d}"
-    return f"distances in [{lo}, {hi}]"
 
 
 def pairwise_extremes(metric: Metric, points) -> tuple:
@@ -529,54 +527,45 @@ def save_stream_jsonl(points, path):
 
 
 def load_stream_jsonl(path):
-    """The points of a JSONL stream file. Every record carries `coords`, or
-    none does and a point's id is its matrix row; a record unlike the first,
-    or unreadable, is a MalformedRecord naming the file and line."""
+    """The points of a JSONL stream file, whose lines end at LF, CR LF or a
+    lone CR. Every record carries `coords`, or none does and a point's id is
+    its matrix row; a record unlike the first, or unreadable or not UTF-8,
+    is a MalformedRecord naming the file and line."""
     points = []
     coords = None  # whether the records carry coords, as the first one says
     int_types, number_types = {int}, {int, float}  # a JSON true or false is a bool
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f.read().splitlines(), 1):
+            try:
+                line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                try:
-                    row = json.loads(line)
-                    pid, t_arr, t_del = ints = row["id"], row["t_arr"], row["t_del"]
-                    if not int_types.issuperset(map(type, ints)):  # one test in the usual case
-                        if not number_types.issuperset(map(type, ints)):
-                            raise ValueError(f"id and times {ints} must be numbers")
-                        pid, t_arr, t_del = map(int, ints)
-                        if (pid, t_arr, t_del) != ints:
-                            raise ValueError(f"id and times {ints} must be integers")
-                    if coords is None:
-                        coords = "coords" in row
-                    elif ("coords" in row) != coords:
-                        raise ValueError(f"point {pid} {'lacks' if coords else 'has'} "
-                                         "coords, unlike the first record")
-                    if coords:
-                        c = row["coords"]
-                        if type(c) is not list or not number_types.issuperset(map(type, c)):
-                            raise ValueError(f"coords {c!r} is not an array of numbers")
-                        payload = tuple(map(float, c))
-                        if not all(map(math.isfinite, payload)):
-                            raise ValueError("non-finite coordinate")
-                    else:
-                        payload = pid
-                    point = TimedPoint(pid, payload, t_arr, t_del)
-                except (KeyError, TypeError, ValueError, OverflowError) as e:
-                    raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
-                points.append(point)
-    except UnicodeDecodeError:
-        # Text is decoded a chunk at a time, so find the line that fails.
-        with open(path, "rb") as f:
-            for lineno, line in enumerate(f, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as e:
-                    raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
-        raise
+                row = json.loads(line)
+                pid, t_arr, t_del = ints = row["id"], row["t_arr"], row["t_del"]
+                if not int_types.issuperset(map(type, ints)):  # one test in the usual case
+                    if not number_types.issuperset(map(type, ints)):
+                        raise ValueError(f"id and times {ints} must be numbers")
+                    pid, t_arr, t_del = map(int, ints)
+                    if (pid, t_arr, t_del) != ints:
+                        raise ValueError(f"id and times {ints} must be integers")
+                if coords is None:
+                    coords = "coords" in row
+                elif ("coords" in row) != coords:
+                    raise ValueError(f"point {pid} {'lacks' if coords else 'has'} "
+                                     "coords, unlike the first record")
+                if coords:
+                    c = row["coords"]
+                    if type(c) is not list or not number_types.issuperset(map(type, c)):
+                        raise ValueError(f"coords {c!r} is not an array of numbers")
+                    payload = tuple(map(float, c))
+                    if not all(map(math.isfinite, payload)):
+                        raise ValueError("non-finite coordinate")
+                else:
+                    payload = pid
+                point = TimedPoint(pid, payload, t_arr, t_del)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e
+            points.append(point)
     return points
 
 

@@ -21,7 +21,8 @@ per-rung meaning: a group of m rungs counts m ops per operation and m
 evaluations per distance it computes once.
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
-only drops what has expired by t; see `LadderClustering.update`.
+only drops what has expired by t; see `LadderClustering.update`. Active
+ids must be unique; the caller keeps them so, as too few are stored to check.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ import math
 from bisect import bisect_left
 
 from .core import DeletionQueue, GuessLadder, LadderClustering, Metric, deletion_key
-from .errors import NoCurrentQuery, NoFeasibleGuess, PointNotFound
+from .errors import DuplicateId, NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
 
 
@@ -167,6 +167,15 @@ class TwoApproxClustering(LadderClustering):
         dst.unclustered = _Points(src.unclustered)
 
     # -- update ------------------------------------------------------------
+
+    def _admit(self, p):
+        """Rejects p's id while an active point has it: rung 0 holds all, in k+1 dicts."""
+        st, pid = self.states[0], p.id
+        q = st.unclustered.get(pid)
+        for cl in st.clusters:
+            q = q or cl.members.get(pid)
+        if q is not None and q.t_del > p.t_arr:
+            raise DuplicateId(f"point id {pid} is already active")
 
     def _arrive(self, p):
         """First-fit once per part of each group, in one pass; see the module

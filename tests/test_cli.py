@@ -247,6 +247,8 @@ class TestTypedErrors:
         ("verify", "--algo", "six", "--k", "2", "--prescan", "--epsilon", "inf"),
         ("run", "--algo", "two", "--k", "2", "--epsilon", "1", "--dmin", "0.01",
          "--dmax", "inf"),
+        ("run", "--algo", "two", "--k", "3", "--epsilon", "1", "--dmin", "0.001",
+         "--dmax", "1e308"),
         ("run", "--algo", "two", *RUN, "--queries", "at:"),
         ("run", "--algo", "two", "--k", "2", "--prescan", "--epsilon", "1e-17"),
         ("bench", "--sizes", "16", "--kind", "adversarial", "--gamma", "inf"),
@@ -283,9 +285,9 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("case", ["not-utf8", "int-beyond-int64", "float-beyond-int64"])
     def test_records_the_replay_cannot_read_exit_1(self, case, tmp_path, capsys):
-        """A byte that is not UTF-8 far past the first chunk the file is
-        decoded in is named by its line; a time beyond the signed 64-bit
-        range, which `measure_h` reads, is a typed error too."""
+        """A byte that is not UTF-8 on line 250 is named by its line; a time
+        beyond the signed 64-bit range, which `measure_h` reads, is a typed
+        error too."""
         stream = tmp_path / "s.jsonl"
         run_cli("gen", "--kind", "sliding", "--n", "300", "--out", str(stream))
         lines = stream.read_bytes().splitlines()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,41 @@ class TestValidateStream:
         with pytest.raises(DistanceOutOfRange, match=r"d\(1,3\)=100\.0"):
             validate_stream(pts, line_metric(), 0.5, 10)
 
+    def test_names_a_pair_of_the_second_column_tile(self):
+        """300 points, so three tiles; only pairs of the tile (0, 256) lie
+        outside the bounds. The named pair's own distance is outside them,
+        so the ids come from the tile's offsets, and it is the tile's first."""
+        pts = line_points([(1000 + i, i / 300 + (10 if i >= _TILE else 0), i, 400)
+                           for i in range(300)][::-1])
+        with pytest.raises(DistanceOutOfRange, match=r"d\(1000,1256\)=10\.8") as e:
+            validate_stream(pts, line_metric(), 1e-3, 2)
+        a, b, d = re.match(r"d\((\d+),(\d+)\)=(\S+) outside", str(e.value)).groups()
+        by_id = {p.id: p for p in pts}
+        assert line_metric().distance(by_id[int(a)], by_id[int(b)]) == float(d) > 2
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan], ids=["below", "nan"])
+    def test_a_failing_check_reads_each_tile_once_and_stops(self, bad):
+        """The check walks the tiles once, through `_block` only, and stops
+        at the first tile with a pair outside the bounds, a NaN included."""
+
+        class Logged(EuclideanMetric):
+            def _block(self, xs, ys):
+                tiles.append((xs[0], len(xs), ys[0], len(ys)))
+                d = super()._block(xs, ys)
+                return np.where(d == 319.0, bad, d)  # d(0, 299) alone
+
+            def block(self, ps, qs):
+                raise AssertionError("a second scan through Metric.block")
+
+            def clone(self):
+                return Logged(1)
+
+        tiles = []
+        pts = line_points([(i, float(i), i, 400) for i in range(299)] + [(299, 319.0, 299, 400)])
+        with pytest.raises(DistanceOutOfRange, match=rf"d\(0,299\)={bad} outside"):
+            validate_stream(pts, Logged(1), 1, 1e3)
+        assert tiles == [((0.0,), 256, (0.0,), 256), ((0.0,), 256, (256.0,), 44)]
+
     @pytest.mark.parametrize("make", [
         lambda n: sliding_window_stream(uniform_coords(n, 2, 5)[0], 4),
         lambda n: random_lifetime_stream(n, 3, 20, 5),
@@ -271,6 +307,23 @@ def test_jsonl_matrix_payload(tmp_path):
     path = tmp_path / "s.jsonl"
     save_stream_jsonl(pts, path)
     assert load_stream_jsonl(path) == pts
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_jsonl_lines_end_as_in_text_mode(eol, tmp_path):
+    """LF, CR LF and a lone CR each end a line, blank lines included; a line
+    that is not UTF-8 is named by its number, after a blank one."""
+    pts = [TimedPoint(i, (i / 4, 1.5), i + 1, i + 9) for i in range(6)]
+    path = tmp_path / "s.jsonl"
+    save_stream_jsonl(pts, path)
+    lines = path.read_bytes().splitlines()
+    lines.insert(2, b"  ")
+    path.write_bytes(eol.join(lines) + eol)
+    assert load_stream_jsonl(path) == pts
+    lines[4] = lines[4].replace(b'"id"', b'"id\xff"')
+    path.write_bytes(eol.join(lines) + eol)
+    with pytest.raises(MalformedRecord, match=r"s\.jsonl line 5: UnicodeDecodeError"):
+        load_stream_jsonl(path)
 
 
 @pytest.mark.parametrize("payloads, bad", [

@@ -7,6 +7,8 @@ step. Queries are checked against the radius bound of the guess used and,
 at no more than ORACLE_CAP active points, against the exact optimum.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -20,9 +22,16 @@ from hypothesis.stateful import (
 
 from dynkcenter import EuclideanMetric, TimedPoint
 from dynkcenter.audits import VanishingTracker
-from dynkcenter.errors import NoCurrentQuery, NonMonotoneArrival, PastTime
+from dynkcenter.errors import (
+    DuplicateId,
+    InvertedLifetime,
+    NoCurrentQuery,
+    NonMonotoneArrival,
+    PastTime,
+)
 from dynkcenter.oracle import exact_kcenter, radius
 from dynkcenter.runner import ALGORITHMS
+from dynkcenter.two_approx import TwoApproxClustering
 
 # Distinct coordinates, one per arrival, so every distance lies within the
 # bounds the ladder is built from.
@@ -119,6 +128,33 @@ class Structures(RuleBasedStateMachine):
         p = TimedPoint(len(self.points), PALETTE[len(self.points)], t, t + 5)
         with pytest.raises(NonMonotoneArrival):
             self.c.update(p)
+
+    def rejected(self, error, p):
+        """The update raises `error` and changes nothing: no op is counted,
+        and the audits and later answers see the same points as before."""
+        ops, stored = self.c.ops, self.c.stored_points()
+        with pytest.raises(error):
+            self.c.update(p)
+        assert (self.c.ops, self.c.stored_points()) == (ops, stored)
+
+    def next_arrival(self):
+        return max(self.now, self.points[-1].t_arr + 1 if self.points else 1)
+
+    @precondition(lambda self: len(self.points) < len(PALETTE))
+    @rule(life=st.sampled_from([0, -1, -5, math.nan]))
+    def inverted_lifetime(self, life):
+        t = self.next_arrival()
+        self.rejected(InvertedLifetime,
+                      TimedPoint(len(self.points), PALETTE[len(self.points)], t, t + life))
+
+    @precondition(lambda self: isinstance(self.c, TwoApproxClustering)
+                  and any(p.t_del > self.next_arrival() for p in self.points))
+    @rule(pick=st.integers(0, len(PALETTE)))
+    def duplicate_id(self, pick):
+        t = self.next_arrival()
+        active = [p for p in self.points if p.t_del > t]
+        q = active[pick % len(active)]
+        self.rejected(DuplicateId, TimedPoint(q.id, PALETTE[-1], t, t + 5))
 
     @invariant()
     def audited(self):

@@ -8,8 +8,11 @@ import pytest
 from dynkcenter import EuclideanMetric, TimedPoint, random_lifetime_stream
 from dynkcenter.core import GuessLadder, LadderClustering
 from dynkcenter.errors import (
+    DuplicateId,
     InvalidBeta,
+    InvalidBounds,
     InvalidParameter,
+    InvertedLifetime,
     NoFeasibleGuess,
     NonMonotoneArrival,
     PastTime,
@@ -59,6 +62,48 @@ def test_a_ladder_outside_the_contract_is_rejected(structure, guesses):
     whichever structure it is given to."""
     with pytest.raises(InvalidParameter):
         structure(1, 1.0, 1, 4, line_metric(), ladder=GuessLadder(1.0, guesses))
+
+
+def test_a_ladder_whose_radius_bound_overflows_is_rejected(structure):
+    """FACTOR x the top guess must be finite. An infinite 2 * gamma on the
+    top rungs once sent the (2+eps) group cut past its group, a raw
+    IndexError at the second arrival."""
+    with pytest.raises(InvalidBounds, match=r"d_max 1e\+308"):
+        structure(3, 1.0, 0.001, 1e308, line_metric())
+    c = structure(1, 1.0, 1, 4, line_metric(),
+                  ladder=GuessLadder(0.5, (1.0, 1e308 / structure.FACTOR)))
+    c.update(TimedPoint(1, (0.0,), 1, 9))
+    c.update(TimedPoint(2, (5.0,), 2, 9))
+    assert c.query(2).guess_used == 1e308 / structure.FACTOR
+    with pytest.raises(InvalidParameter):
+        structure(1, 1.0, 1, 4, line_metric(), ladder=GuessLadder(0.5, (1.0, 1e308, 1.5e308)))
+
+
+@pytest.mark.parametrize("t_del", [5, 4, math.nan])
+def test_an_arrival_that_does_not_end_after_it_starts_is_rejected(structure, t_del):
+    c = structure(1, 1.0, 1, 4, line_metric())
+    c.update(TimedPoint(1, (0.0,), 1, 9))
+    with pytest.raises(InvertedLifetime):
+        c.update(TimedPoint(2, (1.0,), 5, t_del))
+    # The rejected arrival left the clock at 1, so an arrival at 3 is legal.
+    c.update(TimedPoint(3, (1.0,), 3, 9))
+    assert len(c.query(3).centers) == 1
+
+
+def test_two_approx_rejects_the_id_of_an_active_point():
+    """(2+eps) finds an active id among rung 0's k+1 dicts; the id of a point
+    that has expired by the arrival is free again."""
+    c = ALGORITHMS["two"][0](2, 1.0, 1, 4, line_metric())
+    for i, x in enumerate((0.0, 9.0, 20.0, 4.0), 1):
+        c.update(TimedPoint(i, (x,), i, 3 if i == 1 else 20))
+    assert [q.id for q in c.states[0].unclustered] == [4]
+    ops = c.ops
+    for pid in (2, 3, 4):
+        with pytest.raises(DuplicateId):
+            c.update(TimedPoint(pid, (1.0,), 5, 9))
+    assert c.ops == ops
+    c.update(TimedPoint(1, (1.0,), 5, 9))  # point 1 expired at 3
+    assert c.query(5).center_ids == [2, 3]
 
 
 def test_a_zero_rung_is_legal(structure):
