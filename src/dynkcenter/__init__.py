@@ -4,7 +4,6 @@ space-efficient (6+eps)-approximation, exact oracles, stream generators,
 and an instrumented replay harness."""
 
 from .core import (
-    DeletionQueue,
     EuclideanMetric,
     EventStream,
     GuessLadder,
@@ -30,7 +29,6 @@ from .streamgen import (
 from .two_approx import TwoApproxClustering
 
 __all__ = [
-    "DeletionQueue",
     "EuclideanMetric",
     "EventStream",
     "GeneratedStream",

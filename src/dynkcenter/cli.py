@@ -11,7 +11,7 @@ import functools
 import sys
 
 from . import core, oracle, runner, streamgen
-from .errors import DynKCenterError, InvalidParameter, InvariantViolation
+from .errors import DynKCenterError, InvalidParameter, InvariantViolation, StreamError
 
 
 def _build_parser():
@@ -131,6 +131,8 @@ def _cmd_run(args, verify):
     if args.prescan and (args.dmin is not None or args.dmax is not None):
         raise InvalidParameter("--prescan measures the bounds; it takes no --dmin/--dmax")
     points = core.load_stream_jsonl(args.stream)
+    if not points:
+        raise StreamError(f"{args.stream}: no points")
     metric = _load_metric(args, points)
     if not args.prescan and (args.dmin is None or args.dmax is None):
         raise DynKCenterError("supply --dmin/--dmax or use --prescan")

@@ -3,14 +3,13 @@
 Everything here is shared by both clustering algorithms: the point type,
 the two metric backends (Euclidean coordinates and an explicit distance
 matrix), the geometric ladder of radius guesses, the (t_del, t_arr) total
-order used for every latest-deletion selection, the expiry priority queue,
-and stream parsing/validation.
+order used for every latest-deletion selection and expiry, and stream
+parsing/validation.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import math
 import reprlib
@@ -433,28 +432,6 @@ class LadderClustering:
         self._now = t
         if p is not None:
             self._last_arrival = p.t_arr
-
-
-class DeletionQueue:
-    """Min-heap over (t_del, t_arr); holds the active inserted points."""
-
-    def __init__(self):
-        self._heap = []
-
-    def push(self, p: TimedPoint):
-        heapq.heappush(self._heap, (p.t_del, p.t_arr, p))
-
-    def peek_key(self):
-        if not self._heap:
-            return None
-        t_del, t_arr, _ = self._heap[0]
-        return (t_del, t_arr)
-
-    def pop(self) -> TimedPoint:
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self):
-        return len(self._heap)
 
 
 @dataclass

@@ -5,9 +5,10 @@ member set per cluster (the center included), an unclustered set, and
 per-cluster persistent/vanishing counters. Member and unclustered sets are
 insertion-ordered dicts keyed by point id, so they iterate in append order
 and delete in O(1). They are the one record of where a point lives: a
-deletion finds the owner with at most k+1 membership tests. A global expiry
-queue drives deletions; a size-balance rule triggers suffix reclustering so
-that reassignment work stays amortized O(k) per update.
+deletion finds the owner with at most k+1 membership tests. A global heap
+of (t_del, t_arr, point) drives deletions; a size-balance rule triggers
+suffix reclustering so that reassignment work stays amortized O(k) per
+update.
 
 Neighbouring rungs whose states are equal share one: `LadderClustering`
 keeps these groups, and an update runs once per group, in one pass over
@@ -46,17 +47,20 @@ one of it, an attach or a removal, scans only once the bound would fall
 below zero; a center's deletion always scans. Elsewhere the update counts
 the scan's len(clusters) ops without scanning.
 
-Each update memoises d(x, y) by the pair of point ids and computes every
-pair once. Every test still counts one evaluation in `metric.evals`,
-memoised or not, so the counters stay per test.
+An arrival computes d(p, c) once per center c, through `metric.distance`,
+into its own dict. The steps memoise d(x, y) by the pair of point ids for
+the rest of the update, so `_place` and `_open_longest_lived` compute
+every pair once. Every test still counts one evaluation in
+`metric.evals`, memoised or not, so the counters stay per test.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 
-from .core import DeletionQueue, GuessLadder, LadderClustering, Metric, deletion_key
+from .core import GuessLadder, LadderClustering, Metric, deletion_key
 from .errors import DuplicateId, NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
 
@@ -148,7 +152,7 @@ class TwoApproxClustering(LadderClustering):
     ):
         super().__init__(k, epsilon, d_min, d_max, metric, ladder)
         self.reclustering_enabled = reclustering_enabled
-        self.queue = DeletionQueue()
+        self.queue = []  # heap of (t_del, t_arr, point), one per stored point
         self.peak_stored = 0
         self._last_query_index = None
         self._memo = {}  # (smaller id, larger id) -> distance, this update only
@@ -182,7 +186,7 @@ class TwoApproxClustering(LadderClustering):
         docstring."""
         self._memo.clear()
         k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
-        states, two_g = self.states, self._two_g
+        states, two_g, distance = self.states, self._two_g, self.metric.distance
         dist = {}  # center id -> d(p, center), computed once per arrival
         groups, check = [], False
         tests = sized = 0
@@ -195,7 +199,7 @@ class TwoApproxClustering(LadderClustering):
                     c = cl.center
                     d = dist.get(c.id)
                     if d is None:
-                        d = dist[c.id] = self._dist(p, c)
+                        d = dist[c.id] = distance(p, c)
                     if d <= g:
                         break
                     if d <= top and d < cut:
@@ -240,11 +244,11 @@ class TwoApproxClustering(LadderClustering):
                 else:
                     groups.append((lo, hi))
         self._groups = groups
-        self.queue.push(p)
+        heapq.heappush(self.queue, (p.t_del, p.t_arr, p))
         # The queue push; per rung, the attach, the opening or the unclustered
         # point, one op per test and, with reclustering, the balance scan.
         self.ops += 1 + len(self.states) + tests + (sized if scan else 0)
-        self.metric.evals += tests - len(dist)  # `_dist` counted the first of each
+        self.metric.evals += tests - len(dist)  # `distance` counted the first of each
         # Only an arrival grows the stored set, so only here can the peak rise.
         self.peak_stored = max(self.peak_stored, self.stored_points())
 
@@ -253,13 +257,13 @@ class TwoApproxClustering(LadderClustering):
         pass per point, joining equal neighbours around a step's parts. Any
         move of the clock ends the last query's witness."""
         self._last_query_index = None
-        head = self.queue.peek_key()
-        if head is None or head[0] > t:
+        queue = self.queue
+        if not queue or queue[0][0] > t:
             return False
         self._memo.clear()
         scan, states = self.reclustering_enabled, self.states
-        while head is not None and head[0] <= t:
-            q = self.queue.pop()
+        while queue and queue[0][0] <= t:
+            q = heapq.heappop(queue)[2]
             qid = q.id
             ops = 1  # the queue pop
             groups, check = [], False
@@ -298,11 +302,10 @@ class TwoApproxClustering(LadderClustering):
                     groups.append(grp)
             self._groups = groups
             self.ops += ops
-            head = self.queue.peek_key()
         return False  # not worth a `_merge`; see the module docstring
 
     def _dist(self, x, y) -> float:
-        """d(x, y), computed once per update and counted once per test."""
+        """d(x, y) for a step, computed once per update and counted once per test."""
         key = (x.id, y.id) if x.id < y.id else (y.id, x.id)
         d = self._memo.get(key)
         if d is None:

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from dynkcenter import cli, core
-from dynkcenter.errors import MalformedRecord
+from dynkcenter.errors import MalformedRecord, StreamError
 
 
 def run_cli(*argv):
@@ -267,6 +267,25 @@ class TestTypedErrors:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("metric", ["euclidean", "matrix"])
+    def test_an_empty_stream_exits_1_naming_the_file(self, metric, command, tmp_path, capsys):
+        stream = tmp_path / "empty.jsonl"
+        stream.write_text("")
+        argv = [command, "--algo", "two", "--k", "2", "--epsilon", "1", "--prescan",
+                "--stream", str(stream)]
+        if metric == "matrix":
+            table = tmp_path / "adv.csv"
+            run_cli("gen", "--kind", "adversarial", "--n", "6",
+                    "--out", str(tmp_path / "adv.jsonl"), "--matrix-out", str(table))
+            argv += ["--metric", f"matrix:{table}"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {stream}: no points\n" and not captured.out
+        with pytest.raises(StreamError):
+            cli._cmd_run(cli._build_parser().parse_args(argv), command == "verify")
 
     @pytest.mark.parametrize("algo", ["two", "six"])
     def test_a_ladder_below_the_data_exits_1(self, algo, tmp_path, capsys):

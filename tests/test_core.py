@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynkcenter import (
-    DeletionQueue,
     EuclideanMetric,
     MatrixMetric,
     Metric,
@@ -258,37 +257,6 @@ class TestValidateStream:
             validate_stream(
                 gen.stream.points, gen.metric.clone(), gen.stream.d_min, gen.stream.d_max
             )
-
-
-class TestDeletionQueue:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 50), st.integers(0, 1000)),
-            min_size=1,
-            max_size=60,
-            unique_by=lambda x: x[1],
-        )
-    )
-    def test_dequeues_in_key_order(self, pairs):
-        q = DeletionQueue()
-        pts = [
-            TimedPoint(i, (0.0,), t_arr, t_arr + 1 + life)
-            for i, (life, t_arr) in enumerate(pairs)
-        ]
-        for p in pts:
-            q.push(p)
-        out = []
-        while len(q):
-            out.append(q.pop())
-        keys = [(p.t_del, p.t_arr) for p in out]
-        assert keys == sorted(keys)
-        assert sorted(p.id for p in out) == sorted(p.id for p in pts)
-
-    def test_peek(self):
-        q = DeletionQueue()
-        assert q.peek_key() is None
-        q.push(TimedPoint(1, (0.0,), 1, 7))
-        assert q.peek_key() == (7, 1)
 
 
 def test_jsonl_roundtrip(tmp_path):

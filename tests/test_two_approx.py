@@ -1,12 +1,14 @@
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynkcenter import (
     EuclideanMetric,
     MatrixMetric,
     TimedPoint,
     TwoApproxClustering,
+    deletion_key,
     h_bounded_stream,
     random_lifetime_stream,
     sliding_window_stream,
@@ -401,6 +403,78 @@ def test_updates_compute_few_of_the_distances_they_count(make, reclustering_enab
     assert metric.computed <= 0.3 * metric.evals
 
 
+def _record_distance_calls(metric):
+    """Wrap the instance's `distance` as perfbench's tracer does; returns
+    the list to which each call appends its unordered pair of ids."""
+    pairs, inner = [], metric.distance
+
+    def recorded(p, q):
+        pairs.append((p.id, q.id) if p.id < q.id else (q.id, p.id))
+        return inner(p, q)
+
+    metric.distance = recorded
+    return pairs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_lifetime_stream(300, 2, 16, 4),
+    lambda: h_bounded_stream(300, 8, 2, 4),
+], ids=["random", "h8"])
+def test_every_distance_goes_through_the_instances_distance(make):
+    """A wrapper on `metric.distance` sees every distance the update
+    computes, and an update whose arrival ran no step computes no pair
+    twice."""
+    gen = make()
+    metric = _CountingMetric(2)
+    c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, metric)
+    pairs = _record_distance_calls(metric)
+    plain = 0
+    for p in gen.stream.points:
+        start = len(pairs)
+        c.update(p)
+        if not c._memo:
+            assert len(set(pairs[start:])) == len(pairs) - start
+            plain += 1
+    c.update(None, max(p.t_del for p in gen.stream.points))
+    assert len(pairs) == metric.computed
+    assert plain > 0
+
+
+class TestExpiryHeap:
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 50), st.integers(0, 1000), st.integers(0, 9)),
+            min_size=1,
+            max_size=60,
+            unique_by=lambda x: x[1],
+        )
+    )
+    def test_holds_the_active_points_least_first(self, draws):
+        """With a clock-only update at each distinct deletion time, in
+        order between the arrivals: after every update the heap holds one
+        entry per point alive after t, the least (t_del, t_arr) first, and
+        the structure passes its audit."""
+        pts = [TimedPoint(i, (float(x),), t_arr, t_arr + 1 + life)
+               for i, (life, t_arr, x) in enumerate(draws)]
+        # At equal times the clock moves before the arrival comes.
+        events = sorted([(t, 0, None) for t in {p.t_del for p in pts}]
+                        + [(p.t_arr, 1, p) for p in pts], key=lambda e: e[:2])
+        c = TwoApproxClustering(2, 1.0, 1.0, 9.0, line_metric())
+        arrived = []
+        for t, _, p in events:
+            if p is None:
+                c.update(None, t)
+            else:
+                c.update(p)
+                arrived.append(p)
+            active = [q for q in arrived if q.t_del > t]
+            assert len(c.queue) == len(active)
+            if active:
+                assert c.queue[0][:2] == min(map(deletion_key, active))
+            audit_two_approx(c, active)
+
+
 class _Unmemoised(TwoApproxClustering):
     """Computes every distance it tests, as the structure did before its
     per-update memo."""
@@ -461,7 +535,7 @@ class TestDistanceMemo:
             assert len(c._memo) <= c.metric.evals - evals
         while c.queue:
             evals, stored = c.metric.evals, len(c.queue)
-            c.update(None, c.queue.peek_key()[0])
+            c.update(None, c.queue[0][0])
             assert len(c.queue) < stored
             assert len(c._memo) <= c.metric.evals - evals
 
