@@ -14,6 +14,7 @@ import json
 import math
 import reprlib
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -205,11 +206,11 @@ class MatrixMetric(Metric):
             raise MetricError("asymmetric matrix metric")
         n = t.shape[0]
         if n <= PAIRWISE_CHECK_CAP:
-            for r in range(n):
-                if (t > t[:, r][:, None] + t[r][None, :]).any():
-                    raise MetricError(
-                        f"triangle inequality violated via intermediate {r}"
-                    )
+            # A two-edge sum that overflows to inf breaks no inequality.
+            with np.errstate(over="ignore"):
+                for r in range(n):
+                    if (t > t[:, r][:, None] + t[r][None, :]).any():
+                        raise MetricError(f"triangle inequality violated via intermediate {r}")
         self.table = t
         self.n = n
 
@@ -309,10 +310,11 @@ class LadderClustering:
     the [lo, hi) rung ranges, in order, whose entries in `states` keep their
     own gamma but hold the same containers, the attributes State.SHARED
     names. Rung i tests d <= `_two_g[i]`, so a test's outcome differs inside
-    a group only for a d between its end rungs' 2*gamma, and there the
-    group is cut at `bisect_left(_two_g, d)`, as each subclass's steps
-    decide. The subclass supplies ``_same(a, b)``, state equality, and
-    ``_copy(dst, src)``, which gives dst its own copy of src's containers.
+    a group only for a d between its end rungs' 2*gamma. Both arrivals cut
+    by one rule, in `_part`: the least such d tested at the group's first
+    rung cuts it at `bisect_left(_two_g, d)`. The subclass supplies
+    ``_same(a, b)``, state equality, and ``_copy(dst, src)``, which gives
+    dst its own copy of src's containers.
     `_join` and `_merge` join equal neighbours; the update calls `_merge`
     after an `_expire` that says so, unless an arrival follows, which
     joins them as it goes. Whether they are joined changes no result, only
@@ -391,6 +393,14 @@ class LadderClustering:
         """Give rungs [lo, hi) their own copy of st's containers."""
         self._copy(self.states[lo], st)
         self._share(lo + 1, hi, self.states[lo])
+
+    def _part(self, lo, end, cut):
+        """Cut group [lo, end) before rung lo's state changes, at the first
+        rung whose 2*gamma is at least cut: the rungs from there to end leave
+        on a copy, and that rung is returned."""
+        hi = bisect_left(self._two_g, cut, lo + 1, end)
+        self._split(hi, end, self.states[lo])
+        return hi
 
     def _join(self, groups, lo, hi):
         """Append rungs [lo, hi) to groups, joined to the last group if their

@@ -8,17 +8,19 @@ or expired. Queries greedily cover the representative set.
 Neighbouring rungs whose states are equal share one attractor list and
 orphan dict; `LadderClustering` keeps these groups. A rung's next state
 depends only on its state, the update and the outcomes of its tests
-d(a, p) <= 2*gamma, and an arrival's tests are known before it is applied.
-So an update is applied once per group of rungs that share a state, in one
-pass over the groups. A distance changes a test's outcome inside a group
-only where it falls between its end rungs' 2*gamma; a group with no such
-distance, the usual case, stays whole, and one with some is cut there, on
-copies of its state. The arrival is inserted inline into each part, which
-merges into the group before it once their states are equal. An expiry
-purges each group and learns the next expiry time; an expiry-only update
-or a query that purges then merges equal neighbours. Counters keep their
+d(a, p) <= 2*gamma, so an update is applied once per group of rungs that
+share a state, in one pass over the groups. An arrival follows the cut
+rule of the (2+eps) arrival: one scan of a group's attractors at its
+first rung lo decides p there and notes the least distance in
+(2*gamma_lo, 2*gamma_top], top being its last rung. Without one, the usual
+case, the group stays whole; with one, `LadderClustering._part` cuts off
+the rungs whose 2*gamma is at least that distance, on a copy of the state
+taken before p changes it, and they are scanned in turn. Each part merges
+into the group before it once their states are equal. An expiry purges
+each group and learns the next expiry time; an expiry-only update or a
+query that purges then merges equal neighbours. Counters keep their
 per-rung meaning: a group of m rungs counts m ops per operation and m
-evaluations per distance it computes once.
+evaluations per test, and an arrival computes each distance once.
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
 only drops what has expired by t; see `LadderClustering.update`. Active
@@ -28,7 +30,6 @@ ids must be unique; the caller keeps them so, as too few are stored to check.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 from .core import GuessLadder, LadderClustering, Metric, deletion_key
 from .errors import NoFeasibleGuess
@@ -110,60 +111,50 @@ class SixApproxClustering(LadderClustering):
     # -- update ------------------------------------------------------------
 
     def _arrive(self, p):
-        """One pass over the groups: split, insert, merge; see the module docstring."""
+        """Insert p once per part of each group, in one pass; see the module
+        docstring."""
         groups = []
         memo = {}  # attractor id -> its distance to p, one call each
         states, two_g, distance = self.states, self._two_g, self.metric.distance
         key, evals = deletion_key(p), 0
-        for lo, hi in self._groups:
-            st = states[lo]
-            # Rung i tests d <= 2*gamma_i, so a test's outcome changes at the first
-            # rung whose 2*gamma is at least d, inside the group iff g_lo < d <= g_hi.
-            g_lo, g_hi = two_g[lo], two_g[hi - 1]
-            dists, cut = [], False
-            for a in st.attractors:
-                d = memo.get(a.point.id)
-                if d is None:
-                    d = memo[a.point.id] = distance(a.point, p)
-                dists.append(d)
-                if g_lo < d <= g_hi:
-                    cut = True
-            n = len(dists)
-            evals += (hi - lo) * n
-            parts = ((lo, hi),)
-            if cut:
-                cuts = sorted({bisect_left(two_g, d, lo, hi) for d in dists if g_lo < d <= g_hi})
-                parts = tuple(zip((lo, *cuts), (*cuts, hi)))
-                # Copies come from the state as purged, before the arrival changes it.
-                for s, e in parts[1:]:
-                    self._split(s, e, st)
-            for s, e in parts:
-                part, g = states[s], two_g[s]
-                # Insert p: count the attractors within 2*gamma, and keep the
-                # one of smallest id whose representative p outlives.
+        for hi, end in self._groups:
+            while hi < end:  # one part [lo, hi) of the group per pass
+                lo, st = hi, states[hi]
+                g, top, cut = two_g[lo], two_g[end - 1], math.inf
+                # Count the attractors within 2*gamma, keep the one of smallest
+                # id whose representative p outlives, and note the least
+                # distance that some rung up to top passes.
                 within, best = 0, None
-                for a, d in zip(part.attractors, dists):
+                for a in st.attractors:
+                    d = memo.get(a.point.id)
+                    if d is None:
+                        d = memo[a.point.id] = distance(a.point, p)
                     if d <= g:
                         within += 1
                         if a.key < key and (best is None or a.point.id < best.point.id):
                             best = a
+                    elif d <= top and d < cut:
+                        cut = d
+                hi = self._part(lo, end, cut) if cut <= top else end
+                m, n = hi - lo, len(st.attractors)
+                evals += m * n
                 if not within:
-                    part.attractors.append(_Attractor(p, p, key))
+                    st.attractors.append(_Attractor(p, p, key))
                     self._next_expiry = min(self._next_expiry, p.t_del)
                     ops = self.ops
-                    self._cleanup(part)
-                    self.ops += (e - s) * (n + 1) + (e - s - 1) * (self.ops - ops)
+                    self._cleanup(st)
+                    self.ops += m * (n + 1) + (m - 1) * (self.ops - ops)
                     # Only a new attractor grows a guess, so only here can its peak rise.
-                    size, peaks = sum(part.sizes()), self.peak_per_guess
-                    for i in range(s, e):
+                    size, peaks = sum(st.sizes()), self.peak_per_guess
+                    for i in range(lo, hi):
                         if peaks[i] < size:
                             peaks[i] = size
                 elif best is None:  # p is discarded for these guesses
-                    self.ops += (e - s) * (n + within)
+                    self.ops += m * (n + within)
                 else:  # the displaced representative is dropped
                     best.rep, best.key = p, key
-                    self.ops += (e - s) * (n + within + 1)
-                self._join(groups, s, e)
+                    self.ops += m * (n + within + 1)
+                self._join(groups, lo, hi)
         # The loop counted every rung's tests, `distance` each call again.
         self.metric.evals += evals - len(memo)
         self._groups = groups

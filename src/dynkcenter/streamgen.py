@@ -40,9 +40,10 @@ def uniform_coords(n: int, dim: int, seed: int):
 
 def _euclidean_stream(coords, t_arrs, t_dels, declared_h):
     coords = np.asarray(coords, dtype=float)
+    # Python floats, as loaded payloads are: numpy scalars cost more per operation.
     points = [
-        TimedPoint(i, tuple(coords[i]), int(t_arrs[i]), int(t_dels[i]))
-        for i in range(len(coords))
+        TimedPoint(i, tuple(c), int(t_arrs[i]), int(t_dels[i]))
+        for i, c in enumerate(coords.tolist())
     ]
     metric = EuclideanMetric(coords.shape[1])
     return GeneratedStream(validate_stream(points, metric), metric, declared_h)
@@ -99,8 +100,8 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
     """
     if n < 3:
         raise InvalidParameter(f"need n >= 3, got {n}")
-    if not (0 < gamma < np.inf):
-        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
+    if not (0 < 0.1 * gamma and 2.5 * gamma < np.inf):  # distinct points, finite distances
+        raise InvalidParameter(f"need 0 < 0.1*gamma and 2.5*gamma finite, got gamma {gamma}")
     m = 2 * n
     blob = slice(1, n)  # indices of the long-lived blob
     late = slice(n, m)  # indices of the short-lived batch

@@ -19,9 +19,10 @@ and notes the least distance in that range that it tested false. The
 rungs below `bisect_left` of that distance keep the result; the rest leave
 on a copy of the state taken before the change, to run it again and maybe
 be cut again. The changes are an arrival's first-fit scan, which
-`_arrive` runs, and a center's deletion (reassignment with `_place`,
-promotion with `_open_longest_lived`) and a reclustering round, which
-`_step` runs. Whether a round starts depends only on counters, the same
+`_arrive` runs and `_part` cuts, as for the (6+eps) arrival, and a
+center's deletion (reassignment with `_place`, promotion with
+`_open_longest_lived`) and a reclustering round, which `_step` runs and
+cuts. Whether a round starts depends only on counters, the same
 on every rung of a group. Counters keep their per-rung meaning: a group
 of m rungs counts m ops per operation and m evaluations per test.
 
@@ -206,12 +207,8 @@ class TwoApproxClustering(LadderClustering):
                         cut = d  # the least distance some rung up to top passes
                 else:
                     cl = None  # no center within 2*gamma
-                hi = end
-                if cut <= top:
-                    # Rungs from the cut on fit a center before cl: they leave,
-                    # on a copy of the state taken before p changes it.
-                    hi = bisect_left(two_g, cut, lo + 1, end)
-                    self._split(hi, end, st)
+                # Rungs from the cut on fit a center before cl: they leave.
+                hi = self._part(lo, end, cut) if cut <= top else end
                 m = hi - lo
                 n = len(clusters)
                 if cl is None:

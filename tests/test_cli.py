@@ -49,6 +49,19 @@ class TestGen:
                            "--out", str(out), *extra) == 0
             assert len(core.load_stream_jsonl(str(out))) == 20
 
+    @pytest.mark.parametrize("gamma", ["1e308", "1e-323"])
+    def test_gen_adversarial_refuses_a_gamma_whose_table_is_unusable(
+            self, gamma, tmp_path, capsys):
+        """At 1e308, 2.5*gamma overflows to inf; at 1e-323, 0.1*gamma
+        rounds to 0, so distinct blob points would be 0 apart. Either way
+        gen exits 1 and writes no file."""
+        rc = run_cli("gen", "--kind", "adversarial", "--n", "3", "--gamma", gamma,
+                     "--out", str(tmp_path / "adv.jsonl"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunVerify:
     @pytest.fixture()

@@ -140,6 +140,13 @@ class TestMetric:
         with pytest.raises(MetricError):
             MatrixMetric(bad)
 
+    def test_matrix_triangle_check_ignores_sums_that_overflow(self):
+        """Every entry is finite, but two edges sum to inf, which no third
+        edge exceeds: the table is accepted with no overflow warning."""
+        table = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
+        assert MatrixMetric(table).distance(TimedPoint(1, 0, 1, 2),
+                                            TimedPoint(2, 2, 2, 3)) == 1e308
+
     def test_matrix_asymmetry_rejected(self):
         with pytest.raises(MetricError):
             MatrixMetric([[0, 1], [2, 0]])

@@ -4,6 +4,7 @@ import pytest
 
 from dynkcenter import (
     EuclideanMetric,
+    MatrixMetric,
     SixApproxClustering,
     TimedPoint,
     h_bounded_stream,
@@ -320,3 +321,49 @@ def test_a_deep_copy_replays_like_the_original():
             answers.append((sol.guess_used, sol.center_ids, c.ops, c.metric.evals,
                             c.peak_per_guess, [rung_state(st) for st in c.states]))
         assert answers[0] == answers[1]
+
+
+class _CountingTable(MatrixMetric):
+    """A distance table that counts the distances actually computed."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.computed = 0
+
+    def _dist(self, a, b):
+        self.computed += 1
+        return super()._dist(a, b)
+
+
+def test_an_arrival_that_cuts_a_group_into_four_parts():
+    """Attractors 0, 1 and 2 are 0.75 apart, and point 3, which outlives
+    them, is 0.70, 0.64 and 0.60 from them. On the rungs of 2*gamma 0.58,
+    0.62, 0.66 and 0.72, which share one state, point 3 becomes a fourth
+    attractor on the first and the representative of attractors 2, 1 and
+    0 on the others. The later parts read the arrival's three distances
+    again, without computing them."""
+    table = [[0, 0.75, 0.75, 0.70],
+             [0.75, 0, 0.75, 0.64],
+             [0.75, 0.75, 0, 0.60],
+             [0.70, 0.64, 0.60, 0]]
+    points = [TimedPoint(i, i, i, 100) for i in range(3)] + [TimedPoint(3, 3, 3, 200)]
+    ladder = GuessLadder(1.0, (0.29, 0.31, 0.33, 0.36))
+    full = SixApproxClustering(3, 1.0, 0.29, 0.36, _CountingTable(table), ladder=ladder)
+    twins = [SixApproxClustering(3, 1.0, g, g, MatrixMetric(table),
+                                 ladder=GuessLadder(1.0, (g,)))
+             for g in ladder]
+    for c in [full, *twins]:
+        for p in points[:3]:
+            c.update(p)
+    assert full._groups == [(0, 4)]
+    computed = full.metric.computed
+    for c in [full, *twins]:
+        c.update(points[3])
+    assert full.metric.computed - computed == 3
+    assert full._groups == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert rung_state(full.states[0]) == ([(0, 0), (1, 1), (2, 2), (3, 3)], set())
+    for st, twin in zip(full.states, twins):
+        assert rung_state(st) == rung_state(twin.states[0])
+    assert full.peak_per_guess == [twin.peak_per_guess[0] for twin in twins]
+    assert full.ops == sum(twin.ops for twin in twins)
+    assert full.metric.evals == sum(twin.metric.evals for twin in twins)

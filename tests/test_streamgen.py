@@ -15,6 +15,7 @@ from dynkcenter import (
     validate_stream,
 )
 from dynkcenter.errors import InvalidH, InvalidParameter
+from dynkcenter.streamgen import uniform_coords
 
 
 def naive_measure_h(points):
@@ -111,6 +112,25 @@ class TestAdversarial:
         b = adversarial_quadratic_stream(5, 1.0)
         assert a.stream.points == b.stream.points
         assert np.array_equal(a.metric.table, b.metric.table)
+
+    @pytest.mark.parametrize("gamma", [1e308, 1e-323, float("nan")])
+    def test_gamma_whose_table_is_unusable_is_rejected(self, gamma):
+        """2.5*gamma must stay finite and 0.1*gamma positive, so that every
+        distance is finite and distinct points are apart."""
+        with pytest.raises(InvalidParameter):
+            adversarial_quadratic_stream(3, gamma)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sliding_window_stream(uniform_coords(20, 3, 1)[0], window=4),
+    lambda: random_lifetime_stream(20, 2, 5, seed=1),
+    lambda: h_bounded_stream(20, 3, 2, seed=1),
+], ids=["sliding", "random", "hbounded"])
+def test_generated_coordinates_are_python_floats(make):
+    """Generated payloads are tuples of float, as loaded ones are."""
+    for p in make().stream.points:
+        assert type(p.payload) is tuple
+        assert all(type(x) is float for x in p.payload)
 
 
 @pytest.mark.parametrize("make", [
