@@ -51,9 +51,10 @@ def audit_two_approx(clustering: TwoApproxClustering, active_points):
         two_g = 2.0 * g
         if fresh:
             centers = [cl.center for cl in st.clusters]
-            stored = [x for cl in st.clusters for x in cl.members] + list(st.unclustered)
+            stored = [x for cl in st.clusters for x in cl.members.values()]
+            stored += st.unclustered.values()
             # Each stored point's cluster index, len(centers) for an unclustered one.
-            sizes = [cl.members.size for cl in st.clusters] + [st.unclustered.size]
+            sizes = [len(cl.members) for cl in st.clusters] + [len(st.unclustered)]
             owner = np.repeat(np.arange(len(centers) + 1), sizes)
             cc, xc = metric.block(centers, centers), metric.block(stored, centers)
             np.fill_diagonal(cc, np.inf)  # no center is a pair with itself
@@ -82,13 +83,13 @@ def audit_two_approx(clustering: TwoApproxClustering, active_points):
                                              f"within 2*gamma of center {centers[fits[0]].id}")
         if not fresh:
             continue  # the gamma-free checks passed at the run's first rung
-        if st.unclustered.size > 0 and len(st.clusters) != clustering.k:
+        if st.unclustered and len(st.clusters) != clustering.k:
             raise InvariantViolation(
-                "fullness", f"guess {g}: |U|={st.unclustered.size}, l={len(st.clusters)}")
+                "fullness", f"guess {g}: |U|={len(st.unclustered)}, l={len(st.clusters)}")
         for i, cl in enumerate(st.clusters):
             ck = deletion_key(cl.center)
-            p_true = sum(1 for x in cl.members if deletion_key(x) > ck)
-            v_true = cl.members.size - p_true
+            p_true = sum(1 for x in cl.members.values() if deletion_key(x) > ck)
+            v_true = len(cl.members) - p_true
             if (cl.persistent, cl.vanishing) != (p_true, v_true):
                 raise InvariantViolation(
                     "counter-correctness", f"guess {g} cluster {i}: stored "
@@ -97,7 +98,7 @@ def audit_two_approx(clustering: TwoApproxClustering, active_points):
             suf = 0  # persistent minus vanishing over the suffix from j
             for j in range(len(st.clusters) - 1, -1, -1):
                 suf += st.clusters[j].persistent - st.clusters[j].vanishing
-                if suf > st.unclustered.size:
+                if suf > len(st.unclustered):
                     raise InvariantViolation("balance", f"guess {g}: suffix {j} unbalanced")
         ids = [x.id for x in stored]
         if len(ids) != len(active_ids) or set(ids) != active_ids:
@@ -120,11 +121,11 @@ class VanishingTracker:
         for gi, (st, fresh) in enumerate(_runs(clustering)):
             seen = before[gi] if gi < len(before) else ()
             if fresh:
-                persistent, vanishing = [], {x.id for x in st.unclustered}
+                persistent, vanishing = [], set(st.unclustered)
                 for cl in st.clusters:
                     ck = deletion_key(cl.center)
-                    persistent += [x for x in cl.members if deletion_key(x) > ck]
-                    vanishing.update(x.id for x in cl.members if deletion_key(x) <= ck)
+                    persistent += [x for x in cl.members.values() if deletion_key(x) > ck]
+                    vanishing.update(x.id for x in cl.members.values() if deletion_key(x) <= ck)
             if fresh or seen is not checked:
                 for x in persistent:
                     if x.id in seen:

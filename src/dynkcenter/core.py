@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import reprlib
 import warnings
 from bisect import bisect_left
@@ -64,9 +65,10 @@ class TimedPoint:
     t_del: int
 
 
-def deletion_key(p: TimedPoint):
-    """Total order used for expiry and every latest-deletion selection."""
-    return (p.t_del, p.t_arr)
+# p -> (p.t_del, p.t_arr): the total order of expiry and of every
+# latest-deletion selection. An attrgetter, so that `max(pool, key=...)`
+# and the update's key reads stay in C.
+deletion_key = operator.attrgetter("t_del", "t_arr")
 
 
 class Metric:

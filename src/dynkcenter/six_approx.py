@@ -3,7 +3,10 @@
 Per radius guess the structure stores at most k+1 pairwise-separated
 attractors, one representative per attractor (the longest-lived point it
 has attracted), and orphaned representatives whose attractors were evicted
-or expired. Queries greedily cover the representative set.
+or expired. Queries greedily cover the representative set. An arrival p
+replaces a representative r it outlives in the (t_del, t_arr) order; the
+shell takes arrivals in strictly increasing time, so p comes after r and
+that is r.t_del <= p.t_del.
 
 Neighbouring rungs whose states are equal share one attractor list and
 orphan dict; `LadderClustering` keeps these groups. A rung's next state
@@ -48,10 +51,10 @@ UPDATE_OPS_FACTOR = 4
 
 
 class _Attractor:
-    __slots__ = ("point", "rep", "key")
+    __slots__ = ("point", "rep")
 
-    def __init__(self, point, rep, key):
-        self.point, self.rep, self.key = point, rep, key  # key: deletion_key(rep)
+    def __init__(self, point, rep):
+        self.point, self.rep = point, rep
 
 
 class SixApproxGuessState:
@@ -105,7 +108,7 @@ class SixApproxClustering(LadderClustering):
 
     @staticmethod
     def _copy(dst, src):
-        dst.attractors = [_Attractor(a.point, a.rep, a.key) for a in src.attractors]
+        dst.attractors = [_Attractor(a.point, a.rep) for a in src.attractors]
         dst.orphans = dict(src.orphans)
 
     # -- update ------------------------------------------------------------
@@ -116,7 +119,7 @@ class SixApproxClustering(LadderClustering):
         groups = []
         memo = {}  # attractor id -> its distance to p, one call each
         states, two_g, distance = self.states, self._two_g, self.metric.distance
-        key, evals = deletion_key(p), 0
+        t_del, evals = p.t_del, 0
         for hi, end in self._groups:
             while hi < end:  # one part [lo, hi) of the group per pass
                 lo, st = hi, states[hi]
@@ -131,7 +134,7 @@ class SixApproxClustering(LadderClustering):
                         d = memo[a.point.id] = distance(a.point, p)
                     if d <= g:
                         within += 1
-                        if a.key < key and (best is None or a.point.id < best.point.id):
+                        if a.rep.t_del <= t_del and (best is None or a.point.id < best.point.id):
                             best = a
                     elif d <= top and d < cut:
                         cut = d
@@ -139,7 +142,7 @@ class SixApproxClustering(LadderClustering):
                 m, n = hi - lo, len(st.attractors)
                 evals += m * n
                 if not within:
-                    st.attractors.append(_Attractor(p, p, key))
+                    st.attractors.append(_Attractor(p, p))
                     self._next_expiry = min(self._next_expiry, p.t_del)
                     ops = self.ops
                     self._cleanup(st)
@@ -152,7 +155,7 @@ class SixApproxClustering(LadderClustering):
                 elif best is None:  # p is discarded for these guesses
                     self.ops += m * (n + within)
                 else:  # the displaced representative is dropped
-                    best.rep, best.key = p, key
+                    best.rep = p
                     self.ops += m * (n + within + 1)
                 self._join(groups, lo, hi)
         # The loop counted every rung's tests, `distance` each call again.

@@ -3,12 +3,15 @@
 Per radius guess the structure keeps an ordered list of centers, one
 member set per cluster (the center included), an unclustered set, and
 per-cluster persistent/vanishing counters. Member and unclustered sets are
-insertion-ordered dicts keyed by point id, so they iterate in append order
-and delete in O(1). They are the one record of where a point lives: a
-deletion finds the owner with at most k+1 membership tests. A global heap
-of (t_del, t_arr, point) drives deletions; a size-balance rule triggers
-suffix reclustering so that reassignment work stays amortized O(k) per
-update.
+plain dicts, point id -> point, so they iterate in append order and delete
+in O(1). They are the one record of where a point lives: a deletion finds
+the owner with at most k+1 membership tests. A member is vanishing if it
+precedes its center in the (t_del, t_arr) order, else persistent. The
+shell takes arrivals in strictly increasing time, so an arrival p comes
+after every stored point and is vanishing iff p.t_del < its center's
+t_del. A global heap of (t_del, t_arr, point) drives deletions; a
+size-balance rule triggers suffix reclustering so that reassignment work
+stays amortized O(k) per update.
 
 Neighbouring rungs whose states are equal share one: `LadderClustering`
 keeps these groups, and an update runs once per group, in one pass over
@@ -66,30 +69,19 @@ from .errors import DuplicateId, NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
 
 
-class _Points(dict):
-    """Point id -> point, iterating over the points in insertion order."""
-
-    __slots__ = ()
-    size = property(len)
-
-    def __iter__(self):
-        return iter(self.values())
-
-
 class _Cluster:
     # The center is its own first member, a vanishing one.
-    __slots__ = ("center", "key", "members", "persistent", "vanishing")
+    __slots__ = ("center", "members", "persistent", "vanishing")
 
     def __init__(self, center):
         self.center = center
-        self.key = deletion_key(center)
-        self.members = _Points({center.id: center})
+        self.members = {center.id: center}
         self.persistent = 0
         self.vanishing = 1
 
     def copy(self):
         cl = _Cluster.__new__(_Cluster)
-        cl.center, cl.key, cl.members = self.center, self.key, _Points(self.members)
+        cl.center, cl.members = self.center, dict(self.members)
         cl.persistent, cl.vanishing = self.persistent, self.vanishing
         return cl
 
@@ -110,7 +102,7 @@ class TwoApproxGuessState:
         self.gamma = gamma
         self.slack = 0
         self.clusters = []
-        self.unclustered = _Points()
+        self.unclustered = {}
 
 
 def _same(a: TwoApproxGuessState, b: TwoApproxGuessState) -> bool:
@@ -169,7 +161,7 @@ class TwoApproxClustering(LadderClustering):
     def _copy(dst, src):
         dst.slack = src.slack
         dst.clusters = [cl.copy() for cl in src.clusters]
-        dst.unclustered = _Points(src.unclustered)
+        dst.unclustered = dict(src.unclustered)
 
     # -- update ------------------------------------------------------------
 
@@ -186,7 +178,7 @@ class TwoApproxClustering(LadderClustering):
         """First-fit once per part of each group, in one pass; see the module
         docstring."""
         self._memo.clear()
-        k, scan, pid, key = self.k, self.reclustering_enabled, p.id, deletion_key(p)
+        k, scan, pid, t_del = self.k, self.reclustering_enabled, p.id, p.t_del
         states, two_g, distance = self.states, self._two_g, self.metric.distance
         dist = {}  # center id -> d(p, center), computed once per arrival
         groups, check = [], False
@@ -225,7 +217,7 @@ class TwoApproxClustering(LadderClustering):
                     tests += m * (clusters.index(cl) + 1)
                     sized += m * n
                     cl.members[pid] = p
-                    if key <= cl.key:
+                    if t_del < cl.center.t_del:  # p arrives after the center
                         cl.vanishing += 1
                     else:
                         cl.persistent += 1
@@ -358,7 +350,7 @@ class TwoApproxClustering(LadderClustering):
 
     def _attach(self, cl: _Cluster, p):
         cl.members[p.id] = p
-        if deletion_key(p) <= cl.key:
+        if deletion_key(p) <= deletion_key(cl.center):
             cl.vanishing += 1
         else:
             cl.persistent += 1
@@ -393,12 +385,12 @@ class TwoApproxClustering(LadderClustering):
         cl = st.clusters[i]
         del cl.members[q.id]
         self.ops += 2  # finding the cluster, then removing q
-        for x in cl.members:
+        for x in cl.members.values():
             self._place(st, x, st.clusters[i + 1 :], g, top)
         del st.clusters[i]
         self.ops += 1
         if st.unclustered:
-            rest = self._open_longest_lived(st, st.unclustered, g, top)
+            rest = self._open_longest_lived(st, st.unclustered.values(), g, top)
             st.unclustered.clear()  # in place, as the rungs of a group share it
             st.unclustered.update((x.id, x) for x in rest)
         if self.reclustering_enabled:
@@ -428,8 +420,8 @@ class TwoApproxClustering(LadderClustering):
     def _rebuild(self, st: TwoApproxGuessState, g, top, trigger):
         """Recluster the clusters from trigger on, with the unclustered
         points, opening at most k - trigger clusters at longest-lived points."""
-        pool = [x for cl in st.clusters[trigger:] for x in cl.members]
-        pool += st.unclustered
+        pool = [x for cl in st.clusters[trigger:] for x in cl.members.values()]
+        pool += st.unclustered.values()
         self.ops += len(pool)
         del st.clusters[trigger:]
         for _ in range(trigger, self.k):
@@ -469,7 +461,7 @@ class TwoApproxClustering(LadderClustering):
             return None
         st = self.states[self._last_query_index - 1]
         centers = [cl.center for cl in st.clusters]
-        u = min(st.unclustered, key=lambda q: q.id)
+        u = st.unclustered[min(st.unclustered)]  # the least id
         return centers + [u]
 
     # -- instrumentation ----------------------------------------------------

@@ -167,6 +167,23 @@ class TestBench:
         assert lines[0].startswith("n,structural_ops")
         assert len(lines) == 3
 
+    def test_bench_adversarial_needs_only_its_one_rung_finite(self, tmp_path, capsys):
+        """bench runs the one rung gamma, whose 2*gamma is finite at 5e307,
+        so it exits 0. gen's table at that gamma (d_max = 2.5*gamma) is
+        finite too; whether `run` can lay a ladder over it depends on
+        epsilon, and where it cannot, it exits 1 with an error line."""
+        assert run_cli("bench", "--sizes", "16", "--kind", "adversarial",
+                       "--gamma", "5e307") == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("16,")
+        out, mat = tmp_path / "adv.jsonl", tmp_path / "adv.csv"
+        assert run_cli("gen", "--kind", "adversarial", "--n", "3", "--gamma", "5e307",
+                       "--out", str(out), "--matrix-out", str(mat)) == 0
+        capsys.readouterr()
+        assert run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1", "--prescan",
+                       "--stream", str(out), "--metric", f"matrix:{mat}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+
     def test_bench_random(self, capsys):
         rc = run_cli("bench", "--sizes", "50", "--kind", "random",
                      "--algo", "six", "--k", "2", "--epsilon", "3.0")

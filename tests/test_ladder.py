@@ -96,7 +96,7 @@ def test_two_approx_rejects_the_id_of_an_active_point():
     c = ALGORITHMS["two"][0](2, 1.0, 1, 4, line_metric())
     for i, x in enumerate((0.0, 9.0, 20.0, 4.0), 1):
         c.update(TimedPoint(i, (x,), i, 3 if i == 1 else 20))
-    assert [q.id for q in c.states[0].unclustered] == [4]
+    assert [q.id for q in c.states[0].unclustered.values()] == [4]
     ops = c.ops
     for pid in (2, 3, 4):
         with pytest.raises(DuplicateId):

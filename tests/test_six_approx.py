@@ -107,6 +107,20 @@ class TestUpdateTrace:
         assert list(st.orphans) == [2]
 
 
+@pytest.mark.parametrize("guesses", [(1.0,), (1.0, 2.0, 4.0)])
+def test_an_arrival_that_ties_the_representative_on_t_del_replaces_it(guesses):
+    """Point 1 arrives after representative 0 with the same t_del, so it
+    outlives it in the (t_del, t_arr) order, on one rung or on a group of three."""
+    c = SixApproxClustering(1, 6.0, 1, 4, line_metric(), ladder=GuessLadder(1.0, guesses))
+    c.update(TimedPoint(0, (0.0,), 1, 10))
+    c.update(TimedPoint(1, (1.0,), 2, 10))
+    assert c._groups == [(0, len(guesses))]
+    assert_groups_tile_and_share(c, maximal=True)
+    for st in c.states:
+        assert [(a.point.id, a.rep.id) for a in st.attractors] == [(0, 1)]
+        assert st.orphans == {}
+
+
 class TestQuery:
     def test_two_points_query(self):
         c = SixApproxClustering(1, 6.0, 1, 4, line_metric())

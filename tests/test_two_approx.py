@@ -90,9 +90,9 @@ class TestUpdateTrace:
         c.update(p1)
         c.update(p2)
         g1, g2, g4 = c.states
-        assert [x.id for x in g1.unclustered] == [2]
-        assert [x.id for x in g2.clusters[0].members] == [1, 2]
-        assert [x.id for x in g4.clusters[0].members] == [1, 2]
+        assert [x.id for x in g1.unclustered.values()] == [2]
+        assert [x.id for x in g2.clusters[0].members.values()] == [1, 2]
+        assert [x.id for x in g4.clusters[0].members.values()] == [1, 2]
 
     def test_expiry_promotes_unclustered(self):
         c, p1, p2 = self.build()
@@ -101,13 +101,28 @@ class TestUpdateTrace:
         c.update(None, t=10)
         for st in c.states:
             assert [cl.center.id for cl in st.clusters] == [2]
-            assert st.unclustered.size == 0
+            assert len(st.unclustered) == 0
 
     def test_non_monotone_arrival(self):
         c, p1, _ = self.build()
         c.update(p1)
         with pytest.raises(NonMonotoneArrival):
             c.update(TimedPoint(3, (1.0,), 1, 30))
+
+
+@pytest.mark.parametrize("guesses", [(1.0,), (1.0, 2.0, 4.0)])
+def test_an_arrival_that_ties_its_center_on_t_del_is_persistent(guesses):
+    """Point 2 arrives after center 1 with the same t_del, so it follows the
+    center in the (t_del, t_arr) order, on one rung or on a group of three."""
+    c = TwoApproxClustering(1, 2.0, 1, 4, line_metric(), ladder=GuessLadder(1.0, guesses))
+    c.update(TimedPoint(1, (0.0,), 1, 10))
+    c.update(TimedPoint(2, (1.0,), 2, 10))
+    assert c._groups == [(0, len(guesses))]
+    assert_groups_tile_and_share(c, maximal=True)
+    for st in c.states:
+        (cl,) = st.clusters
+        assert list(cl.members.keys()) == [1, 2]
+        assert (cl.persistent, cl.vanishing) == (1, 1)
 
 
 class TestArrivalAtItsOwnTime:
@@ -188,9 +203,9 @@ class TestDeleteTrace:
         c.update(TimedPoint(1, (0.0,), 1, 20))
         c.update(TimedPoint(2, (1.0,), 2, 5))
         st = c.states[0]
-        assert st.clusters[0].members.size == 2
+        assert len(st.clusters[0].members) == 2
         c.update(None, t=5)
-        assert [x.id for x in st.clusters[0].members] == [1]
+        assert [x.id for x in st.clusters[0].members.values()] == [1]
         assert st.clusters[0].vanishing == 1 and st.clusters[0].persistent == 0
 
     def test_member_succeeds_deleted_center(self):
@@ -209,11 +224,11 @@ class TestDeleteTrace:
         c.update(TimedPoint(2, (3.0,), 2, 30))
         c.update(TimedPoint(3, (3.5,), 3, 20))
         st = c.states[0]
-        assert sorted(x.id for x in st.unclustered) == [2, 3]
+        assert sorted(x.id for x in st.unclustered.values()) == [2, 3]
         c.update(None, t=5)
         assert [cl.center.id for cl in st.clusters] == [2]
-        assert sorted(x.id for x in st.clusters[0].members) == [2, 3]
-        assert st.unclustered.size == 0
+        assert sorted(x.id for x in st.clusters[0].members.values()) == [2, 3]
+        assert len(st.unclustered) == 0
 
 
 class TestRecluster:
@@ -630,7 +645,7 @@ class TestRungsStayIndependent:
             for p in points:
                 c.update(p)
         assert full._groups == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert tuple(full.states[0].unclustered) == (points[3],)
+        assert tuple(full.states[0].unclustered.values()) == (points[3],)
         for st, center in zip(full.states[1:], (2, 1, 0)):
             assert list(st.clusters[center].members.keys()) == [center, 3]
         for st, twin in zip(full.states, twins):
