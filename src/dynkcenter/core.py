@@ -50,6 +50,19 @@ MAX_RUNGS = 100_000
 # tile, so its memory stays bounded whatever n is.
 _TILE = 256
 
+# Relative slack of `MatrixMetric`'s triangle check. Let u = 2**-53, the
+# unit roundoff, and let every entry be within a relative e of a true
+# metric's distance d. Then t[a, c] <= (1+e) d(a, c) <= (1+e) (d(a, b) +
+# d(b, c)) <= (1+e)/(1-e) (t[a, b] + t[b, c]), and the check's rounded sum
+# and product lose at most a factor (1-u) each. So no true metric fails
+# while 1 + TOL >= (1+e) / ((1-e) (1-u)**2), that is TOL >= 2e + 2u to
+# first order. Correctly rounded entries (e = u) need 4u. `EuclideanMetric`
+# in dimension m has e <= (m+4)u/2: the rounded difference, square and m-1
+# additions, halved by the square root, and the root's own rounding; so
+# its tables need (m+6)u. 2**-48 = 32u covers m <= 25, and 1 + TOL is
+# exact. A table that breaks the inequality by more fails.
+TRIANGLE_TOL = 2.0**-48
+
 
 @dataclass(frozen=True)
 class TimedPoint:
@@ -192,7 +205,8 @@ class MatrixMetric(Metric):
     """Explicit n x n distance table.
 
     The constructor checks symmetry, non-negativity, a zero diagonal and
-    (for n <= PAIRWISE_CHECK_CAP) the triangle inequality over all triples.
+    (for n <= PAIRWISE_CHECK_CAP) the triangle inequality over all triples,
+    up to the rounding that TRIANGLE_TOL allows.
     """
 
     def __init__(self, table):
@@ -211,7 +225,9 @@ class MatrixMetric(Metric):
             # A two-edge sum that overflows to inf breaks no inequality.
             with np.errstate(over="ignore"):
                 for r in range(n):
-                    if (t > t[:, r][:, None] + t[r][None, :]).any():
+                    bound = t[:, r][:, None] + t[r][None, :]
+                    bound *= 1 + TRIANGLE_TOL
+                    if (t > bound).any():
                         raise MetricError(f"triangle inequality violated via intermediate {r}")
         self.table = t
         self.n = n

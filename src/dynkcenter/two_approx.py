@@ -52,10 +52,14 @@ below zero; a center's deletion always scans. Elsewhere the update counts
 the scan's len(clusters) ops without scanning.
 
 An arrival computes d(p, c) once per center c, through `metric.distance`,
-into its own dict. The steps memoise d(x, y) by the pair of point ids for
-the rest of the update, so `_place` and `_open_longest_lived` compute
-every pair once. Every test still counts one evaluation in
-`metric.evals`, memoised or not, so the counters stay per test.
+into its own dict. The steps memoise the rest of the update's distances
+by center: `_memo` maps a center's id to its row, point id -> d, and a
+pair is looked up both ways round, so `_place` and `_open_longest_lived`
+compute every pair once. A pool of at least ROW points is scanned as one
+row: the memo's entries, one `Metric.block` column for the misses, and
+numpy masks for the split at 2*gamma and the cut. Every test still counts
+one evaluation in `metric.evals`, memoised or not, so the counters stay
+per test.
 """
 
 from __future__ import annotations
@@ -63,10 +67,19 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from itertools import compress
+
+import numpy as np
 
 from .core import GuessLadder, LadderClustering, Metric, deletion_key
 from .errors import DuplicateId, NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
+
+# Pools of at least this many points are scanned as one block row. Below
+# it numpy's per-call cost outweighs the scalar loop's ~1.3 us a point.
+ROW = 64
+
+_NO_ROW = {}  # the row of a center with none in the memo; never written
 
 
 class _Cluster:
@@ -148,7 +161,7 @@ class TwoApproxClustering(LadderClustering):
         self.queue = []  # heap of (t_del, t_arr, point), one per stored point
         self.peak_stored = 0
         self._last_query_index = None
-        self._memo = {}  # (smaller id, larger id) -> distance, this update only
+        self._memo = {}  # center id -> {point id: distance}, this update only
         self._cut = math.inf  # the least distance a step found to cut its group at
 
     @classmethod
@@ -293,12 +306,15 @@ class TwoApproxClustering(LadderClustering):
             self.ops += ops
         return False  # not worth a `_merge`; see the module docstring
 
-    def _dist(self, x, y) -> float:
-        """d(x, y) for a step, computed once per update and counted once per test."""
-        key = (x.id, y.id) if x.id < y.id else (y.id, x.id)
-        d = self._memo.get(key)
+    def _dist(self, x, c) -> float:
+        """d(x, c) for a step, computed once per update and counted once per
+        test: the memo keeps it in c's row, and looks in x's row too."""
+        memo = self._memo
+        d = memo.get(c.id, _NO_ROW).get(x.id)
         if d is None:
-            d = self._memo[key] = self.metric.distance(x, y)
+            d = memo.get(x.id, _NO_ROW).get(c.id)
+        if d is None:
+            d = memo.setdefault(c.id, {})[x.id] = self.metric.distance(x, c)
         else:
             self.metric.evals += 1
         return d
@@ -356,26 +372,63 @@ class TwoApproxClustering(LadderClustering):
             cl.persistent += 1
         self.ops += 1
 
-    def _open_longest_lived(self, st, pool, g, top) -> list:
-        """Open a cluster at the pool's longest-lived point (the first one
-        on ties) and attach every other pool point within g = 2*gamma of it.
-        Returns the points left over, in pool order."""
+    def _open_longest_lived(self, st, pool, g, top):
+        """Open a cluster at the longest-lived point of pool, a dict id ->
+        point (the first one on ties), and move into it every pool point
+        within g = 2*gamma of it. The rest stay in pool, in order."""
         self.ops += len(pool) + 1  # the scan for best, then its opening
-        best = max(pool, key=deletion_key)
+        best = max(pool.values(), key=deletion_key)
         cl = _Cluster(best)
         st.clusters.append(cl)
-        rest = []
-        for x in pool:
-            if x is best:
-                continue
-            self.ops += 1
-            d = self._dist(x, best)
-            if d <= g:
-                self._attach(cl, x)
-            else:
-                self._tested(d, top)
-                rest.append(x)
-        return rest
+        if len(pool) >= ROW:
+            self._open_row(cl, pool, g, top)
+        else:
+            for x in pool.values():
+                if x is not best:
+                    self.ops += 1
+                    d = self._dist(x, best)
+                    if d <= g:
+                        self._attach(cl, x)
+                    else:
+                        self._tested(d, top)
+        for pid in cl.members:
+            del pool[pid]
+
+    def _open_row(self, cl, pool, g, top):
+        """`_open_longest_lived`'s scan of a large pool as one row of
+        distances to the new center cl, with the same results and counts.
+        Every pool point within g joins cl as a vanishing member, as cl's
+        center is the pool's longest-lived point."""
+        best, memo = cl.center, self._memo
+        bid = best.id
+        ids, others = list(pool), list(pool.values())
+        at = ids.index(bid)
+        del ids[at], others[at]
+        row = memo.setdefault(bid, {})
+        for i in memo.keys() & set(ids):  # pairs kept the other way round
+            d = memo[i].get(bid)
+            if d is not None:
+                row[i] = d
+        if row:
+            unknown = [i not in row for i in ids]
+            misses = list(compress(others, unknown))
+            if misses:
+                col = self.metric.block(misses, [best])[:, 0].tolist()
+                row.update(zip(compress(ids, unknown), col))
+            self.metric.evals += len(others) - len(misses)  # `block` counted the misses
+            d = np.fromiter(map(row.__getitem__, ids), float, len(ids))
+        else:  # no pair known: one column for the whole pool
+            d = self.metric.block(others, [best])[:, 0]
+            row.update(zip(ids, d.tolist()))
+        near = d <= g
+        tested = d[~near & (d <= top)]  # the distances `_tested` would see
+        if tested.size:
+            self._cut = min(self._cut, tested.min().item())
+        near = near.tolist()
+        joined = list(compress(others, near))
+        cl.members.update(zip(compress(ids, near), joined))
+        cl.vanishing += len(joined)
+        self.ops += len(others) + len(joined)  # a test each, then the attaches
 
     def _delete_center(self, st: TwoApproxGuessState, g, top, i, q):
         """Reassign the members of the cluster i of center q first-fit to
@@ -389,10 +442,8 @@ class TwoApproxClustering(LadderClustering):
             self._place(st, x, st.clusters[i + 1 :], g, top)
         del st.clusters[i]
         self.ops += 1
-        if st.unclustered:
-            rest = self._open_longest_lived(st, st.unclustered.values(), g, top)
-            st.unclustered.clear()  # in place, as the rungs of a group share it
-            st.unclustered.update((x.id, x) for x in rest)
+        if st.unclustered:  # changed in place, as the rungs of a group share it
+            self._open_longest_lived(st, st.unclustered, g, top)
         if self.reclustering_enabled:
             self.ops += len(st.clusters)
             if (j := self._recluster(st)) is not None:
@@ -420,16 +471,18 @@ class TwoApproxClustering(LadderClustering):
     def _rebuild(self, st: TwoApproxGuessState, g, top, trigger):
         """Recluster the clusters from trigger on, with the unclustered
         points, opening at most k - trigger clusters at longest-lived points."""
-        pool = [x for cl in st.clusters[trigger:] for x in cl.members.values()]
-        pool += st.unclustered.values()
+        pool = {}
+        for cl in st.clusters[trigger:]:
+            pool.update(cl.members)
+        pool.update(st.unclustered)
         self.ops += len(pool)
         del st.clusters[trigger:]
         for _ in range(trigger, self.k):
             if not pool:
                 break
-            pool = self._open_longest_lived(st, pool, g, top)
+            self._open_longest_lived(st, pool, g, top)
         st.unclustered.clear()
-        st.unclustered.update((x.id, x) for x in pool)
+        st.unclustered.update(pool)
         self.ops += len(pool)
         st.slack = 0  # the round leaves no suffix broken
 

@@ -6,6 +6,7 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from dynkcenter import cli, core
@@ -137,6 +138,17 @@ class TestRunVerify:
                      "--prescan", "--stream", str(out),
                      "--metric", f"matrix:{mat}", "--queries", "end")
         assert rc == 0
+
+    def test_run_matrix_of_collinear_points(self, tmp_path):
+        """A Euclidean table of seven points on the line y = 0.37x, which
+        breaks the triangle inequality by rounding alone, runs."""
+        out, mat = tmp_path / "line.jsonl", tmp_path / "line.csv"
+        x = np.linspace(0, 1, 7).tolist()
+        coords = [core.TimedPoint(i, (a, 0.37 * a), i, i + 1) for i, a in enumerate(x)]
+        core.save_matrix_csv(core.EuclideanMetric(2).block(coords, coords), mat)
+        core.save_stream_jsonl([core.TimedPoint(i, i, i + 1, i + 4) for i in range(7)], out)
+        assert run_cli("run", "--algo", "two", "--k", "2", "--epsilon", "1.0", "--prescan",
+                       "--stream", str(out), "--metric", f"matrix:{mat}") == 0
 
     def test_queries_at_times(self, stream_path, tmp_path):
         report = tmp_path / "r.csv"

@@ -20,6 +20,7 @@ from dynkcenter import (
 from dynkcenter import core
 from dynkcenter.core import (
     MAX_RUNGS,
+    TRIANGLE_TOL,
     _TILE,
     _floor_log,
     load_matrix_csv,
@@ -138,6 +139,22 @@ class TestMetric:
     def test_matrix_triangle_rejected(self):
         bad = [[0, 1, 10], [1, 0, 1], [10, 1, 0]]  # 10 > 1 + 1
         with pytest.raises(MetricError):
+            MatrixMetric(bad)
+
+    def test_matrix_triangle_check_allows_rounding(self):
+        """Seven points on the line y = 0.37x: their Euclidean table breaks
+        the exact inequality by rounding alone, and is accepted."""
+        x = np.linspace(0, 1, 7)
+        pts = [TimedPoint(i, (a, 0.37 * a), i, i + 1) for i, a in enumerate(x.tolist())]
+        table = EuclideanMetric(2).block(pts, pts)
+        assert any((table > table[:, r][:, None] + table[r][None, :]).any() for r in range(7))
+        assert MatrixMetric(table).n == 7
+
+    @pytest.mark.parametrize("excess", [4 * TRIANGLE_TOL, 1e-9, 1.0])
+    def test_matrix_triangle_violation_beyond_rounding_rejected(self, excess):
+        far = 2 * (1 + excess)
+        bad = [[0, 1, far], [1, 0, 1], [far, 1, 0]]
+        with pytest.raises(MetricError, match="triangle inequality violated via intermediate 1"):
             MatrixMetric(bad)
 
     def test_matrix_triangle_check_ignores_sums_that_overflow(self):

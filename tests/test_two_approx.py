@@ -1,5 +1,7 @@
 import copy
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from dynkcenter import (
     random_lifetime_stream,
     sliding_window_stream,
 )
+from dynkcenter import two_approx
 from dynkcenter.audits import VanishingTracker, audit_two_approx
 from dynkcenter.core import GuessLadder
 from dynkcenter.errors import (
@@ -385,16 +388,21 @@ class TestStaleWitness:
 
 
 class _CountingMetric(EuclideanMetric):
-    """Counts the distances actually computed, next to the `evals` that
-    the counters report."""
+    """Counts the distances actually computed, one per `_dist` call and one
+    per `_block` entry, next to the `evals` that the counters report."""
 
     def __init__(self, dim):
         super().__init__(dim)
-        self.computed = 0
+        self.computed = self.blocked = 0
 
     def _dist(self, a, b):
         self.computed += 1
         return super()._dist(a, b)
+
+    def _block(self, xs, ys):
+        self.computed += len(xs) * len(ys)
+        self.blocked += len(xs) * len(ys)
+        return super()._block(xs, ys)
 
 
 @pytest.mark.parametrize("reclustering_enabled", [True, False],
@@ -418,31 +426,37 @@ def test_updates_compute_few_of_the_distances_they_count(make, reclustering_enab
     assert metric.computed <= 0.3 * metric.evals
 
 
-def _record_distance_calls(metric):
-    """Wrap the instance's `distance` as perfbench's tracer does; returns
-    the list to which each call appends its unordered pair of ids."""
-    pairs, inner = [], metric.distance
+def _record_computed_pairs(metric):
+    """Wrap the instance's `distance`, as perfbench's tracer does, and its
+    `block`; returns the list to which each distance they compute appends
+    its unordered pair of ids."""
+    pairs, distance, block = [], metric.distance, metric.block
 
     def recorded(p, q):
         pairs.append((p.id, q.id) if p.id < q.id else (q.id, p.id))
-        return inner(p, q)
+        return distance(p, q)
 
-    metric.distance = recorded
+    def recorded_block(ps, qs):
+        pairs.extend((p.id, q.id) if p.id < q.id else (q.id, p.id) for p in ps for q in qs)
+        return block(ps, qs)
+
+    metric.distance, metric.block = recorded, recorded_block
     return pairs
 
 
-@pytest.mark.parametrize("make", [
-    lambda: random_lifetime_stream(300, 2, 16, 4),
-    lambda: h_bounded_stream(300, 8, 2, 4),
-], ids=["random", "h8"])
-def test_every_distance_goes_through_the_instances_distance(make):
-    """A wrapper on `metric.distance` sees every distance the update
-    computes, and an update whose arrival ran no step computes no pair
-    twice."""
+@pytest.mark.parametrize("make, rows", [
+    (lambda: random_lifetime_stream(300, 2, 16, 4), False),
+    (lambda: h_bounded_stream(300, 8, 2, 4), True),
+    (lambda: sliding_window_stream(uniform_coords(400, 2, 2)[0], 150), True),
+], ids=["random", "h8", "sliding-w150"])
+def test_every_distance_goes_through_the_instances_distance(make, rows):
+    """Wrappers on `metric.distance` and `metric.block` see every distance
+    the update computes, and an update whose arrival ran no step computes
+    no pair twice. Where pools reach ROW points, `block` computes some."""
     gen = make()
     metric = _CountingMetric(2)
     c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, metric)
-    pairs = _record_distance_calls(metric)
+    pairs = _record_computed_pairs(metric)
     plain = 0
     for p in gen.stream.points:
         start = len(pairs)
@@ -453,6 +467,7 @@ def test_every_distance_goes_through_the_instances_distance(make):
     c.update(None, max(p.t_del for p in gen.stream.points))
     assert len(pairs) == metric.computed
     assert plain > 0
+    assert (metric.blocked > 0) == rows
 
 
 class TestExpiryHeap:
@@ -492,7 +507,8 @@ class TestExpiryHeap:
 
 class _Unmemoised(TwoApproxClustering):
     """Computes every distance it tests, as the structure did before its
-    per-update memo."""
+    per-update memo, in pools below ROW points, where `_dist` serves every
+    test."""
 
     def _dist(self, x, y):
         return self.metric.distance(x, y)
@@ -507,10 +523,10 @@ def rung_state(st):
     )
 
 
-def replay_trace(c, points):
-    """Per update: ops, evals, every rung's state and the answer. Each
-    arrival is followed by a query; after the last arrival the clock
-    moves on in steps until every point has expired."""
+def replay_rows(c, points):
+    """Yields, as each update ends: ops, evals, the answer and every rung's
+    state. Each arrival is followed by a query; after the last arrival the
+    clock moves on in steps until every point has expired."""
     def row(t):
         try:
             sol = c.query(t)
@@ -519,19 +535,17 @@ def replay_trace(c, points):
             answer = None
         return (c.ops, c.metric.evals, answer, [rung_state(st) for st in c.states])
 
-    trace = []
     for p in points:
         c.update(p)
-        trace.append(row(p.t_arr))
+        yield row(p.t_arr)
     end = max(p.t_del for p in points)
     for t in range(points[-1].t_arr + 1, end + 1, 3):
         c.update(None, t)
-        trace.append(row(t))
-    return trace
+        yield row(t)
 
 
 class TestDistanceMemo:
-    """Each update memoises the distances it tests by pair of point ids;
+    """Each update memoises the distances it tests in one row per center;
     the memo must change no counter, rung state or answer."""
 
     @pytest.mark.parametrize("make", [
@@ -540,19 +554,19 @@ class TestDistanceMemo:
     ], ids=["random", "h8"])
     def test_memo_holds_at_most_the_updates_own_tests(self, make):
         """After an arrival, or a clock move that expires points, the memo
-        holds only pairs that update tested."""
+        holds only pairs that update tested, each entry for a test of its own."""
         gen = make()
         c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max,
                                 gen.metric.clone())
         for p in gen.stream.points:
             evals = c.metric.evals
             c.update(p)
-            assert len(c._memo) <= c.metric.evals - evals
+            assert sum(map(len, c._memo.values())) <= c.metric.evals - evals
         while c.queue:
             evals, stored = c.metric.evals, len(c.queue)
             c.update(None, c.queue[0][0])
             assert len(c.queue) < stored
-            assert len(c._memo) <= c.metric.evals - evals
+            assert sum(map(len, c._memo.values())) <= c.metric.evals - evals
 
     def test_a_query_that_expires_nothing_leaves_the_memo(self):
         gen = random_lifetime_stream(300, 2, 16, 5)
@@ -561,7 +575,7 @@ class TestDistanceMemo:
         held = 0
         for p in gen.stream.points:
             c.update(p)
-            memo = dict(c._memo)
+            memo = {cid: dict(row) for cid, row in c._memo.items()}
             c.query(p.t_arr)
             assert c._memo == memo
             held += bool(memo)
@@ -578,12 +592,77 @@ class TestDistanceMemo:
             else:
                 gen = random_lifetime_stream(n, 1 + seed % 2, 3 + seed % 9, seed)
             traces = [
-                replay_trace(cls(k, epsilon, gen.stream.d_min, gen.stream.d_max,
-                                 gen.metric.clone(), reclustering_enabled),
-                             gen.stream.points)
+                list(replay_rows(cls(k, epsilon, gen.stream.d_min, gen.stream.d_max,
+                                     gen.metric.clone(), reclustering_enabled),
+                                 gen.stream.points))
                 for cls in (TwoApproxClustering, _Unmemoised)
             ]
             assert traces[0] == traces[1], seed
+
+
+ROW_STREAMS = {
+    "sliding-w200": lambda: sliding_window_stream(uniform_coords(400, 2, 6)[0], 200),
+    "h8": lambda: h_bounded_stream(200, 8, 2, 3),
+    "random": lambda: random_lifetime_stream(300, 2, 40, 7),
+    # Integer points, with 2*gamma = 2 and 3 on the lowest rungs: ties at g.
+    "grid-w150": lambda: sliding_window_stream(
+        [(x, y) for x, y in zip(*divmod(np.random.default_rng(0).permutation(400), 20))],
+        150),
+}
+
+
+def on_a_matrix(gen):
+    """The stream's points with index payloads, and a `MatrixMetric` of
+    their distances from `EuclideanMetric.block`."""
+    points = gen.stream.points
+    table = gen.metric.clone().block(points, points)
+    return ([TimedPoint(p.id, i, p.t_arr, p.t_del) for i, p in enumerate(points)],
+            MatrixMetric(table))
+
+
+class TestRowScans:
+    """`_open_longest_lived` scans a pool of ROW points or more as one
+    block row. A replay with ROW above every pool, all scalar scans, and
+    one with ROW at 2, nearly all rows, must match update for update: ops,
+    evals, groups, every rung's state, the answer, and the pairs whose
+    distances were computed."""
+
+    @pytest.mark.parametrize("reclustering_enabled", [True, False],
+                             ids=["reclustering", "no-reclustering"])
+    @pytest.mark.parametrize("backend", ["euclidean", "matrix"])
+    @pytest.mark.parametrize("name", ROW_STREAMS)
+    def test_rows_match_the_scalar_loop(self, monkeypatch, name, backend,
+                                        reclustering_enabled):
+        gen = ROW_STREAMS[name]()
+        points, metric = gen.stream.points, gen.metric
+        if backend == "matrix":
+            points, metric = on_a_matrix(gen)
+        pools, open_row = [], TwoApproxClustering._open_row
+
+        def spy(self, cl, pool, g, top):
+            pools.append(len(pool))
+            return open_row(self, cl, pool, g, top)
+
+        monkeypatch.setattr(TwoApproxClustering, "_open_row", spy)
+        runs = []
+        for row in (math.inf, 2):
+            c = TwoApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max,
+                                    metric.clone(), reclustering_enabled)
+            runs.append((row, c, _record_computed_pairs(c.metric), replay_rows(c, points)))
+        (_, a, _, _), (_, b, _, _) = runs
+        while True:
+            seen = []
+            for row, c, pairs, replay in runs:
+                monkeypatch.setattr(two_approx, "ROW", row)
+                start = len(pairs)
+                seen.append((next(replay, None), c._groups, sorted(pairs[start:])))
+            assert seen[0] == seen[1]
+            if seen[0][0] is None:
+                break
+            assert all(map(TwoApproxClustering._same, a.states, b.states))
+        assert pools
+        if name != "random":  # pools that outgrow the default ROW of 64
+            assert max(pools) > 64
 
 
 SMALL_STREAMS = {
