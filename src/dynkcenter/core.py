@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import operator
 import reprlib
 import warnings
@@ -46,8 +47,8 @@ PAIRWISE_CHECK_CAP = 500
 MAX_RUNGS = 100_000
 
 # Side of the square tiles in which `Metric._pairs` walks the upper
-# triangle of pairs through `_block`: 256 x 256 = 2**16 pair distances per
-# tile, so its memory stays bounded whatever n is.
+# triangle of pairs through `_block`, 2**16 distances a tile whatever n is,
+# and the rows that `load_matrix_csv` parses at a time.
 _TILE = 256
 
 # Relative slack of `MatrixMetric`'s triangle check. Let u = 2**-53, the
@@ -317,9 +318,9 @@ class LadderClustering:
 
     A subclass sets FACTOR and State (its per-guess state, built from
     gamma) and supplies the three steps of the one update and query path:
-    ``_expire(t)`` drops what has expired by t and says whether it may have
-    left equal neighbouring groups, ``_arrive(p)`` applies an arrival to
-    every rung, and ``_answer()`` answers at the smallest feasible guess.
+    ``_expire(t)`` drops what has expired by t, ``_arrive(p)`` applies an
+    arrival to every rung, and ``_answer()`` answers at the smallest
+    feasible guess.
     It also provides ``stored_points()`` and ``peak_stored``, and may add
     checks of an arrival in ``_admit(p)``. RECLUSTERS says whether it has
     the size-balance reclustering that ``reclustering_enabled`` switches.
@@ -333,10 +334,11 @@ class LadderClustering:
     rung cuts it at `bisect_left(_two_g, d)`. The subclass supplies
     ``_same(a, b)``, state equality, and ``_copy(dst, src)``, which gives
     dst its own copy of src's containers.
-    `_join` and `_merge` join equal neighbours; the update calls `_merge`
-    after an `_expire` that says so, unless an arrival follows, which
-    joins them as it goes. Whether they are joined changes no result, only
-    the work.
+    An update builds the new group list part by part, and `_join` joins a
+    part to the group before it when their states are equal; each structure
+    says where it joins. An expiry may leave equal neighbours apart, and
+    they stay apart until a later update joins them. Whether they are
+    joined changes no result, only the work.
     """
 
     FACTOR: float
@@ -385,19 +387,16 @@ class LadderClustering:
             raise InvalidParameter("update(None) needs an explicit time")
         self._advance(t, p)
         ops = self.ops
-        purged = self._expire(t)
+        self._expire(t)
         if p is not None:
-            self._arrive(p)  # which joins equal neighbours as it goes
-        elif purged:
-            self._merge()
+            self._arrive(p)
         self.update_ops = self.ops - ops
 
     def query(self, t):
         """Drop what has expired by t, then answer at the smallest feasible
         guess."""
         self._advance(t)
-        if self._expire(t):
-            self._merge()
+        self._expire(t)
         return self._answer()
 
     def _share(self, lo, hi, st):
@@ -428,13 +427,6 @@ class LadderClustering:
             groups[-1] = (groups[-1][0], hi)
         else:
             groups.append((lo, hi))
-
-    def _merge(self):
-        """Join every group whose state equals the one before it."""
-        groups = []
-        for lo, hi in self._groups:
-            self._join(groups, lo, hi)
-        self._groups = groups
 
     def _admit(self, p):
         """A subclass's own checks of an arrival p, before anything changes."""
@@ -582,16 +574,27 @@ def save_matrix_csv(table, path):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """The distance table of a CSV sidecar, as an n x n float array."""
+    """The distance table of a CSV sidecar, as an n x n float array, read
+    _TILE rows at a time into an anonymous mapping sized by the first row,
+    so that freeing the table unmaps it: a freed table on the heap leaves a
+    hole that small allocations split, and each later load grows the heap."""
+    rows = 0
     try:
-        with warnings.catch_warnings():
-            # An empty file is rejected below, not warned about.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path) as f, warnings.catch_warnings():
+            # A blank line and the empty block at the end are not warned about.
+            warnings.filterwarnings("ignore", "(loadtxt: input|Input line .*) contained no data")
+            while (block := np.loadtxt(f, delimiter=",", ndmin=2, max_rows=_TILE)).size:
+                if not rows:
+                    n = block.shape[1]
+                    table = np.frombuffer(mmap.mmap(-1, n * n * 8)).reshape(n, n)
+                if block.shape != table[rows : rows + len(block)].shape:
+                    raise ValueError(f"rows past {rows} do not fit a {n} x {n} table")
+                if not np.isfinite(block).all():
+                    raise ValueError("non-finite distance")
+                table[rows : rows + len(block)] = block
+                rows += len(block)
     except ValueError as e:
         raise MetricError(f"bad matrix file {path}: {e}") from e
-    if table.size == 0:
+    if not rows:
         raise MetricError(f"bad matrix file {path}: no rows")
-    if not np.isfinite(table).all():
-        raise MetricError(f"bad matrix file {path}: non-finite distance")
-    return table
+    return table[:rows]

@@ -18,12 +18,13 @@ first rung lo decides p there and notes the least distance in
 (2*gamma_lo, 2*gamma_top], top being its last rung. Without one, the usual
 case, the group stays whole; with one, `LadderClustering._part` cuts off
 the rungs whose 2*gamma is at least that distance, on a copy of the state
-taken before p changes it, and they are scanned in turn. Each part merges
-into the group before it once their states are equal. An expiry purges
-each group and learns the next expiry time; an expiry-only update or a
-query that purges then merges equal neighbours. Counters keep their
-per-rung meaning: a group of m rungs counts m ops per operation and m
-evaluations per test, and an arrival computes each distance once.
+taken before p changes it, and they are scanned in turn. Each part joins
+the group before it when their states are equal. An expiry purges each
+group and learns the next expiry time. It joins nothing: neighbours that
+a purge makes equal stay apart until the next arrival, which joins every
+part it passes. Counters keep their per-rung meaning: a group of m rungs
+counts m ops per operation and m evaluations per test, and an arrival
+computes each distance once.
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
 only drops what has expired by t; see `LadderClustering.update`. Active
@@ -165,14 +166,13 @@ class SixApproxClustering(LadderClustering):
     def _expire(self, t):
         """Purge each group once, counting its ops once per rung. Before
         `_next_expiry` a purge would drop nothing, so it is only counted.
-        A purge may leave equal neighbours, so it returns True."""
+        Neighbours a purge leaves equal stay apart until the next arrival."""
         if t < self._next_expiry:
             for lo, hi in self._groups:
                 st = self.states[lo]
                 self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
-            return False
-        self._next_expiry = min([self._purge(lo, hi, t) for lo, hi in self._groups])
-        return True
+        else:
+            self._next_expiry = min([self._purge(lo, hi, t) for lo, hi in self._groups])
 
     def _purge(self, lo, hi, t):
         """Drop every stored point with t_del <= t from the state of rungs

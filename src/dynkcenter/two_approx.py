@@ -51,11 +51,15 @@ one of it, an attach or a removal, scans only once the bound would fall
 below zero; a center's deletion always scans. Elsewhere the update counts
 the scan's len(clusters) ops without scanning.
 
-An arrival computes d(p, c) once per center c, through `metric.distance`,
-into its own dict. The steps memoise the rest of the update's distances
+An arrival's first-fit scan computes d(p, c) once per center c, through
+`metric.distance`, into its own dict. The steps memoise their distances
 by center: `_memo` maps a center's id to its row, point id -> d, and a
 pair is looked up both ways round, so `_place` and `_open_longest_lived`
-compute every pair once. A pool of at least ROW points is scanned as one
+compute a pair once until the memo is emptied, at each arrival and at
+each expiry that drops something. The arrival's dict is not in the memo,
+so one update may compute a pair twice: in its expiry's steps and again
+in its arrival's, or in the arrival's scan and again in a step the
+arrival runs. A pool of at least ROW points is scanned as one
 row: the memo's entries, one `Metric.block` column for the misses, and
 numpy masks for the split at 2*gamma and the cut. Every test still counts
 one evaluation in `metric.evals`, memoised or not, so the counters stay
@@ -261,7 +265,7 @@ class TwoApproxClustering(LadderClustering):
         self._last_query_index = None
         queue = self.queue
         if not queue or queue[0][0] > t:
-            return False
+            return
         self._memo.clear()
         scan, states = self.reclustering_enabled, self.states
         while queue and queue[0][0] <= t:
@@ -304,11 +308,11 @@ class TwoApproxClustering(LadderClustering):
                     groups.append(grp)
             self._groups = groups
             self.ops += ops
-        return False  # not worth a `_merge`; see the module docstring
 
     def _dist(self, x, c) -> float:
-        """d(x, c) for a step, computed once per update and counted once per
-        test: the memo keeps it in c's row, and looks in x's row too."""
+        """d(x, c) for a step, computed once until the memo is emptied and
+        counted once per test: the memo keeps it in c's row, and looks in
+        x's row too."""
         memo = self._memo
         d = memo.get(c.id, _NO_ROW).get(x.id)
         if d is None:

@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import re
 
 import numpy as np
@@ -527,5 +528,32 @@ class TestLoaders:
     def test_bad_matrix_file(self, tmp_path, text):
         path = tmp_path / "m.csv"
         path.write_text(text)
+        with pytest.raises(MetricError):
+            load_matrix_csv(path)
+
+    def test_matrix_over_several_blocks_loads_into_its_own_mapping(self, tmp_path):
+        """The loader parses _TILE rows at a time: a table of more rows, with
+        a blank and a comment line between two blocks, comes back whole, in
+        an anonymous mapping that is unmapped when the table is freed."""
+        n = 2 * _TILE + 3
+        table = np.arange(n * n, dtype=float).reshape(n, n)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(table, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:_TILE] + ["\n", "# a comment\n"] + lines[_TILE:]))
+        back = load_matrix_csv(path)
+        assert np.array_equal(back, table)
+        while isinstance(back, np.ndarray):
+            back = back.base
+        assert isinstance(back.obj, mmap.mmap)  # through `np.frombuffer`'s memoryview
+
+    @pytest.mark.parametrize("tail", ["one-column", "extra-row", "non-finite"])
+    def test_bad_matrix_row_after_the_first_block(self, tmp_path, tail):
+        """Past the first block: a row narrower than the first block's, more
+        rows than columns, or a non-finite entry."""
+        row = ",".join(["0"] * (_TILE + 1)) + "\n"
+        last = {"one-column": "0\n", "extra-row": row + row, "non-finite": "nan," + row[2:]}
+        path = tmp_path / "m.csv"
+        path.write_text(row * _TILE + last[tail])
         with pytest.raises(MetricError):
             load_matrix_csv(path)

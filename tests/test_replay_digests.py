@@ -19,6 +19,7 @@ which replays changed and why:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -39,6 +40,7 @@ from dynkcenter.errors import NoFeasibleGuess
 from dynkcenter.oracle import radius
 from dynkcenter.runner import CSV_COLUMNS, _fmt
 from dynkcenter.streamgen import uniform_coords
+from conftest import on_a_matrix
 from test_two_approx import rung_state
 
 DIGESTS = pathlib.Path(__file__).with_name("replay_digests.json")
@@ -90,7 +92,14 @@ def _build(algo, gen, k, epsilon, reclustering, single_gamma=None):
 
 
 def replay(algo, gen, c, every):
-    """One 12-hex-digit digest per update of structure c over gen's stream.
+    """One 12-hex-digit digest per update: of each row of `replay_rows`."""
+    return [_digest(json.dumps(row, separators=(",", ":")))
+            for row in replay_rows(algo, gen, c, every)]
+
+
+def replay_rows(algo, gen, c, every):
+    """What each update of structure c over gen's stream leaves observable,
+    one row per update, made as the update is applied.
 
     Arrivals come in order; every third one is preceded by a clock-only
     update to its own time, which does the expiry on its own; a query
@@ -111,7 +120,7 @@ def replay(algo, gen, c, every):
         events.append((p, p.t_arr))
     events += [(None, t) for t in range(points[-1].t_arr + 1, end + 1, 3)]
 
-    digests, arrived = [], []
+    arrived = []
     for i, (p, t) in enumerate(events):
         c.update(p, t)
         if p is not None:
@@ -131,8 +140,7 @@ def replay(algo, gen, c, every):
                 if algo == "two":
                     w = c.witness()
                     row.append(None if w is None else [x.id for x in w])
-        digests.append(_digest(json.dumps(row, separators=(",", ":"))))
-    return digests
+        yield row
 
 
 def _digest(text):
@@ -262,6 +270,28 @@ def first_difference(recorded, current):
 def test_replays_match_the_recorded_digests():
     recorded = json.loads(DIGESTS.read_text())
     assert first_difference(recorded, all_digests()) is None
+
+
+def test_a_distance_table_replays_like_its_points():
+    """One replay, two backends: each seeded replay runs again under a
+    `MatrixMetric` of its stream's own distances, with index payloads,
+    and every update leaves the same row: ops, evals, stored points, rung
+    states and peaks, and the answer's rung, center ids, radius and
+    witness. `EuclideanMetric.distance` and `block` round alike, so the
+    rows are equal, not close."""
+    for seed in range(N_CASES):
+        name, algo, kind, n, dim, k, epsilon, reclustering = case(seed)
+        gen = _stream(kind, n, dim, seed)
+        points, table = on_a_matrix(gen)
+        on_table = dataclasses.replace(
+            gen, stream=dataclasses.replace(gen.stream, points=points), metric=table)
+        every = 1 + seed % 3
+        rows = zip(replay_rows(algo, gen, _build(algo, gen, k, epsilon, reclustering), every),
+                   replay_rows(algo, on_table, _build(algo, on_table, k, epsilon, reclustering),
+                               every),
+                   strict=True)
+        for i, (a, b) in enumerate(rows):  # compared at once: a row holds live peaks
+            assert a == b, f"replay {name} differs first at update {i}"
 
 
 def main(argv):

@@ -28,7 +28,7 @@ from dynkcenter.errors import (
     PastTime,
 )
 from dynkcenter.streamgen import uniform_coords
-from conftest import assert_groups_tile_and_share, line_metric, line_points
+from conftest import assert_groups_tile_and_share, line_metric, line_points, on_a_matrix
 
 
 def replay_with_audit(gen, k, epsilon, reclustering_enabled=True):
@@ -414,7 +414,7 @@ class _CountingMetric(EuclideanMetric):
 ], ids=["sliding", "random", "h16"])
 def test_updates_compute_few_of_the_distances_they_count(make, reclustering_enabled):
     """Neighbouring rungs test many of the same pairs, and an update
-    computes each pair once: the distances it computes are well under the
+    computes few pairs twice: the distances it computes are well under the
     per-rung tests it counts."""
     gen = make()
     metric = _CountingMetric(2)
@@ -609,15 +609,6 @@ ROW_STREAMS = {
         [(x, y) for x, y in zip(*divmod(np.random.default_rng(0).permutation(400), 20))],
         150),
 }
-
-
-def on_a_matrix(gen):
-    """The stream's points with index payloads, and a `MatrixMetric` of
-    their distances from `EuclideanMetric.block`."""
-    points = gen.stream.points
-    table = gen.metric.clone().block(points, points)
-    return ([TimedPoint(p.id, i, p.t_arr, p.t_del) for i, p in enumerate(points)],
-            MatrixMetric(table))
 
 
 class TestRowScans:
