@@ -94,7 +94,9 @@ class Metric:
     so it is part of the contract rather than debug output. A backend
     supplies ``_dist(a, b)`` over two payloads and may supply ``_block(xs,
     ys)``, their array over two non-empty payload lists, whose every entry
-    equals ``_dist``'s bit for bit.
+    equals ``_dist``'s bit for bit. A structure that calls ``_dist`` itself,
+    as the (6+eps) arrival does, owns the ``evals`` count of those calls,
+    and raises MetricError for an unreadable payload as ``distance`` does.
     """
 
     def __init__(self):

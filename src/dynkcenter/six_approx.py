@@ -24,7 +24,11 @@ group and learns the next expiry time. It joins nothing: neighbours that
 a purge makes equal stay apart until the next arrival, which joins every
 part it passes. Counters keep their per-rung meaning: a group of m rungs
 counts m ops per operation and m evaluations per test, and an arrival
-computes each distance once.
+computes each distance once, through the backend's `_dist`, and adds its
+evaluations to the metric's counter itself. An expiry before the next
+expiry time drops nothing and counts one op per attractor and orphan of
+each rung: the held count `_held`, which each arrival sums part by part
+and each purge recomputes, so such an expiry costs O(1).
 
 ``update(p)`` takes one arrival at its own time, and ``update(None, t)``
 only drops what has expired by t; see `LadderClustering.update`. Active
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 
 from .core import GuessLadder, LadderClustering, Metric, deletion_key
-from .errors import NoFeasibleGuess
+from .errors import MetricError, NoFeasibleGuess
 from .oracle import Solution, greedy_cover
 
 # One update does at most UPDATE_OPS_FACTOR * (3k+3+H) ops per rung on an
@@ -78,14 +82,12 @@ class SixApproxGuessState:
 def _same(a: SixApproxGuessState, b: SixApproxGuessState) -> bool:
     """Equal states: the same attractors with the same representatives, in
     order, and the same orphans. Orphan order is never observable."""
-    return (
-        len(a.attractors) == len(b.attractors)
-        and a.orphans.keys() == b.orphans.keys()
-        and all(
-            x.point.id == y.point.id and x.rep.id == y.rep.id
-            for x, y in zip(a.attractors, b.attractors)
-        )
-    )
+    if len(a.attractors) != len(b.attractors) or a.orphans.keys() != b.orphans.keys():
+        return False
+    for x, y in zip(a.attractors, b.attractors):
+        if x.point.id != y.point.id or x.rep.id != y.rep.id:
+            return False
+    return True
 
 
 class SixApproxClustering(LadderClustering):
@@ -104,8 +106,10 @@ class SixApproxClustering(LadderClustering):
     ):
         super().__init__(k, epsilon, d_min, d_max, metric, ladder)
         self.peak_per_guess = [0] * len(self.states)
-        # No stored point expires before this time; see `_expire`.
+        # No stored point expires before this time, and until then an expiry
+        # only counts `_held` ops; see `_expire`.
         self._next_expiry = math.inf
+        self._held = 0
 
     @staticmethod
     def _copy(dst, src):
@@ -119,8 +123,8 @@ class SixApproxClustering(LadderClustering):
         docstring."""
         groups = []
         memo = {}  # attractor id -> its distance to p, one call each
-        states, two_g, distance = self.states, self._two_g, self.metric.distance
-        t_del, evals = p.t_del, 0
+        states, two_g, dist, q = self.states, self._two_g, self.metric._dist, p.payload
+        t_del, evals, held = p.t_del, 0, 0
         for hi, end in self._groups:
             while hi < end:  # one part [lo, hi) of the group per pass
                 lo, st = hi, states[hi]
@@ -132,7 +136,10 @@ class SixApproxClustering(LadderClustering):
                 for a in st.attractors:
                     d = memo.get(a.point.id)
                     if d is None:
-                        d = memo[a.point.id] = distance(a.point, p)
+                        try:
+                            d = memo[a.point.id] = dist(a.point.payload, q)
+                        except (TypeError, IndexError) as e:  # typed as `Metric.distance`
+                            raise MetricError(f"cannot measure d({a.point.id}, {p.id}): {e}") from e
                     if d <= g:
                         within += 1
                         if a.rep.t_del <= t_del and (best is None or a.point.id < best.point.id):
@@ -158,20 +165,23 @@ class SixApproxClustering(LadderClustering):
                 else:  # the displaced representative is dropped
                     best.rep = p
                     self.ops += m * (n + within + 1)
+                held += m * (len(st.attractors) + len(st.orphans))
                 self._join(groups, lo, hi)
-        # The loop counted every rung's tests, `distance` each call again.
-        self.metric.evals += evals - len(memo)
+        # The loop counted every rung's tests and read `_dist` past the counter.
+        self.metric.evals += evals
         self._groups = groups
+        self._held = held
 
     def _expire(self, t):
         """Purge each group once, counting its ops once per rung. Before
-        `_next_expiry` a purge would drop nothing, so it is only counted.
+        `_next_expiry` a purge would drop nothing, so it is only counted, in
+        O(1): `_held` is the sum over rungs of |attractors| + |orphans|,
+        which every arrival sums part by part and every purge recomputes.
         Neighbours a purge leaves equal stay apart until the next arrival."""
         if t < self._next_expiry:
-            for lo, hi in self._groups:
-                st = self.states[lo]
-                self.ops += (hi - lo) * (len(st.attractors) + len(st.orphans))
+            self.ops += self._held
         else:
+            self._held = 0  # each purge adds what its rungs keep
             self._next_expiry = min([self._purge(lo, hi, t) for lo, hi in self._groups])
 
     def _purge(self, lo, hi, t):
@@ -179,7 +189,8 @@ class SixApproxClustering(LadderClustering):
         [lo, hi), counting its ops once per rung, and return the earliest
         t_del kept; no representative expires before its attractor. An
         expired attractor's surviving representative becomes an orphan.
-        Filters in place, as the containers are shared."""
+        Filters in place, as the containers are shared, and adds what the
+        rungs keep to `_held`."""
         st = self.states[lo]
         keep, nxt = [], math.inf
         for a in st.attractors:
@@ -200,6 +211,7 @@ class SixApproxClustering(LadderClustering):
                 nxt = q.t_del
         for pid in expired:
             del st.orphans[pid]
+        self._held += (hi - lo) * (len(st.attractors) + len(st.orphans))
         return nxt
 
     def _cleanup(self, st: SixApproxGuessState):

@@ -370,9 +370,10 @@ class TestTypedErrors:
     def test_payloads_the_metric_cannot_read_exit_1(self, case, tmp_path, capsys):
         """Above PAIRWISE_CHECK_CAP no scan reads every payload before the
         replay, so coordinates under a matrix metric first meet it at the
-        structure's first distance: a MetricError, not a TypeError. A record
-        without coordinates among coordinate records never gets that far;
-        the loader rejects it as a MalformedRecord naming its line."""
+        structure's first distance: a MetricError, not a TypeError, under
+        either structure. A record without coordinates among coordinate
+        records never gets that far; the loader rejects it as a
+        MalformedRecord naming its line."""
         stream = tmp_path / "s.jsonl"
         run_cli("gen", "--kind", "sliding", "--n", str(core.PAIRWISE_CHECK_CAP + 100),
                 "--out", str(stream))
@@ -380,23 +381,26 @@ class TestTypedErrors:
             table = tmp_path / "adv.csv"
             run_cli("gen", "--kind", "adversarial", "--n", "10", "--out",
                     str(tmp_path / "adv.jsonl"), "--matrix-out", str(table))
-            argv = ("--algo", "two", "--metric", f"matrix:{table}", "--dmin", "0.01")
+            argvs = [("--algo", algo, "--metric", f"matrix:{table}", "--dmin", "0.01")
+                     for algo in ("two", "six")]
         else:
             lines = stream.read_text().splitlines()
             row = json.loads(lines[5])
             del row["coords"]
             lines[5] = json.dumps(row)
             stream.write_text("\n".join(lines) + "\n")
-            argv = ("--algo", "six", "--dmin", "0.001")
-        capsys.readouterr()
-        assert run_cli("run", *argv, "--dmax", "2", "--k", "2", "--epsilon", "1.0",
-                       "--stream", str(stream)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        if case == "matrix-on-coordinates":
-            assert "cannot measure d(" in err
-        else:
-            assert "line 6" in err
+            argvs = [("--algo", "six", "--dmin", "0.001")]
+        for argv in argvs:
+            capsys.readouterr()
+            assert run_cli("run", *argv, "--dmax", "2", "--k", "2", "--epsilon", "1.0",
+                           "--stream", str(stream)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            if case == "matrix-on-coordinates":
+                assert "cannot measure d(" in err
+            else:
+                assert "line 6" in err
+        if case == "record-without-coords":
             with pytest.raises(MalformedRecord, match="line 6"):
                 core.load_stream_jsonl(str(stream))
 

@@ -17,6 +17,7 @@ from dynkcenter.errors import (
     InvalidBeta,
     InvalidParameter,
     InvariantViolation,
+    MetricError,
     NonMonotoneArrival,
 )
 from dynkcenter.streamgen import uniform_coords
@@ -105,6 +106,14 @@ class TestUpdateTrace:
         st = c.states[0]
         assert [a.point.id for a in st.attractors] == [3]
         assert list(st.orphans) == [2]
+
+    def test_a_payload_the_metric_cannot_read_is_a_metric_error(self):
+        """The arrival reads the backend's `_dist` itself, and keeps the
+        error `Metric.distance` would raise."""
+        c = SixApproxClustering(1, 6.0, 1, 4, line_metric())
+        c.update(TimedPoint(1, (0.0,), 1, 10))
+        with pytest.raises(MetricError, match=r"cannot measure d\(1, 2\)"):
+            c.update(TimedPoint(2, None, 2, 20))
 
 
 @pytest.mark.parametrize("guesses", [(1.0,), (1.0, 2.0, 4.0)])
@@ -225,6 +234,52 @@ SMALL_STREAMS = {
     "random": lambda: random_lifetime_stream(120, 2, 20, 4),
     "h5": lambda: h_bounded_stream(120, 5, 2, 5),
 }
+
+
+class TestIdleExpiry:
+    """Before `_next_expiry` an expiry drops nothing, and `update(None, t)`
+    and `query(t)` each count one op per attractor and orphan of every rung
+    before anything else, after arrivals that cut groups and after purges."""
+
+    @staticmethod
+    def held(c):
+        return sum((hi - lo) * (len(c.states[lo].attractors) + len(c.states[lo].orphans))
+                   for lo, hi in c._groups)
+
+    @pytest.mark.parametrize("name", SMALL_STREAMS)
+    def test_counts_what_every_rung_holds(self, name):
+        gen = SMALL_STREAMS[name]()
+        points = gen.stream.points
+        c = SixApproxClustering(3, 1.0, gen.stream.d_min, gen.stream.d_max, gen.metric.clone())
+        cuts, answered = [], []  # one entry per cut; c.ops as each answer starts
+        part, answer = c._part, c._answer
+
+        def counted_part(*args):
+            cuts.append(args)
+            return part(*args)
+
+        def counted_answer():
+            answered.append(c.ops)
+            return answer()
+
+        c._part, c._answer = counted_part, counted_answer
+        # Every arrival, then each later deletion time, so every stream purges.
+        last = points[-1].t_arr
+        events = [(p.t_arr, p) for p in points]
+        events += [(t, None) for t in sorted({p.t_del for p in points}) if t > last]
+        purges = 0
+        for i, (t, p) in enumerate(events):
+            purges += t >= c._next_expiry
+            c.update(p, t)
+            t_next = events[i + 1][0] if i + 1 < len(events) else t + 1
+            idle = (t + min(c._next_expiry, t_next)) / 2
+            ops, held = c.ops, self.held(c)
+            c.update(None, idle)
+            assert c.ops - ops == held
+            ops = c.ops
+            c.query(idle)
+            assert answered[-1] - ops == held
+        assert cuts and purges
 
 
 def rung_state(st):
