@@ -106,7 +106,7 @@ class Metric:
         self.evals += 1
         try:
             return self._dist(p.payload, q.payload)
-        except (TypeError, IndexError) as e:  # a payload this metric cannot read
+        except (TypeError, IndexError, ValueError) as e:  # a payload this metric cannot read
             raise MetricError(f"cannot measure d({p.id}, {q.id}): {e}") from e
 
     def _dist(self, a, b) -> float:
@@ -169,17 +169,26 @@ class Metric:
 class EuclideanMetric(Metric):
     def __init__(self, dim: int):
         super().__init__()
-        if dim < 1:
-            raise MetricError(f"dimension must be positive, got {dim}")
+        if not isinstance(dim, Integral) or dim < 1:
+            raise MetricError(f"dimension must be a positive integer, got {dim!r}")
         self.dim = dim
 
     def _dist(self, a, b):
         if len(a) != self.dim or len(b) != self.dim:
-            raise MetricError("payload dimension mismatch")
+            raise ValueError("payload dimension mismatch")
         # Squares by multiplication and added left to right from zero, as
         # `_block` takes them: `** 2` goes through libm pow, and `sum`
         # compensates float addition from CPython 3.12 on, so either can
         # round differently.
+        if self.dim == 2:
+            # The loop below unrolled for the plane, `gen`'s default: its
+            # operations in its order, (0.0 + d*d) + e*e, so it equals the
+            # loop bit for bit for any payload type, and so `_block` wherever
+            # the loop does. The `zip` loop, not its arithmetic, is most of
+            # a 2-D call's cost.
+            (x0, x1), (y0, y1) = a, b
+            d, e = x0 - y0, x1 - y1
+            return math.sqrt(0.0 + d * d + e * e)
         s = 0.0
         for x, y in zip(a, b):
             d = x - y

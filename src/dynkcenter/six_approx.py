@@ -138,7 +138,7 @@ class SixApproxClustering(LadderClustering):
                     if d is None:
                         try:
                             d = memo[a.point.id] = dist(a.point.payload, q)
-                        except (TypeError, IndexError) as e:  # typed as `Metric.distance`
+                        except (TypeError, IndexError, ValueError) as e:  # as `Metric.distance`
                             raise MetricError(f"cannot measure d({a.point.id}, {p.id}): {e}") from e
                     if d <= g:
                         within += 1

@@ -197,7 +197,7 @@ class TwoApproxClustering(LadderClustering):
         self._memo.clear()
         k, scan, pid, t_del = self.k, self.reclustering_enabled, p.id, p.t_del
         states, two_g, distance = self.states, self._two_g, self.metric.distance
-        dist = {}  # center id -> d(p, center), computed once per arrival
+        dist = {}  # center id -> d(center, p), computed once per arrival
         groups, check = [], False
         tests = sized = 0
         for hi, end in self._groups:
@@ -209,7 +209,7 @@ class TwoApproxClustering(LadderClustering):
                     c = cl.center
                     d = dist.get(c.id)
                     if d is None:
-                        d = dist[c.id] = distance(p, c)
+                        d = dist[c.id] = distance(c, p)
                     if d <= g:
                         break
                     if d <= top and d < cut:

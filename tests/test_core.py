@@ -11,7 +11,9 @@ from dynkcenter import (
     EuclideanMetric,
     MatrixMetric,
     Metric,
+    SixApproxClustering,
     TimedPoint,
+    TwoApproxClustering,
     build_guess_ladder,
     h_bounded_stream,
     random_lifetime_stream,
@@ -353,6 +355,20 @@ def coord_points(coords):
     return [TimedPoint(i, tuple(float(x) for x in c), i + 1, i + 2) for i, c in enumerate(coords)]
 
 
+@st.composite
+def plane_payload_pairs(draw):
+    """Two 2-D payloads, each a tuple or a list: floats under one power of
+    ten from 1e-150 to 1e150 with signed zeros among them, ints, or both
+    mixed; one pair in five is a point and its copy."""
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    floats = st.one_of(st.floats(-10, 10).map(lambda m: m * scale), st.sampled_from([0.0, -0.0]))
+    ints = st.integers(-(2**60), 2**60)
+    coord = draw(st.sampled_from([floats, ints, st.one_of(floats, ints)]))
+    a = draw(st.tuples(coord, coord))
+    b = a if draw(st.integers(0, 4)) == 0 else draw(st.tuples(coord, coord))
+    return tuple(draw(st.sampled_from([tuple, list]))(x) for x in (a, b))
+
+
 class LineMetric(Metric):
     """A backend with no vectorized scan of its own."""
 
@@ -463,6 +479,16 @@ class TestExtremes:
             LineMetric().block(pts[:1], pts)
 
     def test_euclidean_dimension_mismatch(self):
+        """A single distance, and either structure's arrival, names the pair."""
+        p, q = TimedPoint(1, (0.0, 0.0), 1, 10), TimedPoint(7, (1.0, 2.0, 3.0), 2, 20)
+        message = r"^cannot measure d\(1, 7\): payload dimension mismatch$"
+        with pytest.raises(MetricError, match=message):
+            EuclideanMetric(2).distance(p, q)
+        for cls in (SixApproxClustering, TwoApproxClustering):
+            c = cls(2, 1.0, 0.5, 10.0, EuclideanMetric(2))
+            c.update(p)
+            with pytest.raises(MetricError, match=message):
+                c.update(q)
         with pytest.raises(MetricError):
             EuclideanMetric(2).extremes(coord_points([(0.0, 1.0), (2.0, 3.0), (1.0,)]))
         with pytest.raises(MetricError):
@@ -473,6 +499,24 @@ class TestExtremes:
                 EuclideanMetric(2).block(ps, qs)
         with pytest.raises(MetricError):
             EuclideanMetric(1).block([TimedPoint(0, 0.5, 1, 2)], pts[2:3])
+
+    @pytest.mark.parametrize("dim", ["2", None, 2.5, 0, -1])
+    def test_euclidean_dimension_is_a_positive_integer(self, dim):
+        with pytest.raises(MetricError, match="dimension must be a positive integer"):
+            EuclideanMetric(dim)
+
+    @settings(max_examples=400, deadline=None)
+    @given(plane_payload_pairs())
+    def test_plane_distance_is_the_loops_bit_for_bit(self, pair):
+        """The 2-D kernel against the generic loop, written out here: the
+        same bits, where a correctly rounded `math.hypot` or `math.dist`
+        differs on about one random pair in six."""
+        a, b = pair
+        s = 0.0
+        for x, y in zip(a, b):
+            d = x - y
+            s += d * d
+        assert EuclideanMetric(2)._dist(a, b).hex() == math.sqrt(s).hex()
 
 
 class TestLoaders:
