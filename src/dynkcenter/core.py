@@ -341,10 +341,10 @@ class LadderClustering:
     own gamma but hold the same containers, the attributes State.SHARED
     names. Rung i tests d <= `_two_g[i]`, so a test's outcome differs inside
     a group only for a d between its end rungs' 2*gamma. Both arrivals cut
-    by one rule, in `_part`: the least such d tested at the group's first
-    rung cuts it at `bisect_left(_two_g, d)`. The subclass supplies
-    ``_same(a, b)``, state equality, and ``_copy(dst, src)``, which gives
-    dst its own copy of src's containers.
+    by one rule, in `_part`: the least d tested false at the group's first
+    rung cuts it at `bisect_left(_two_g, d)`, if any rung passes d. The
+    subclass supplies ``_same(a, b)``, state equality, and ``_copy(dst,
+    src)``, which gives dst its own copy of src's containers.
     An update builds the new group list part by part, and `_join` joins a
     part to the group before it when their states are equal; each structure
     says where it joins. An expiry may leave equal neighbours apart, and

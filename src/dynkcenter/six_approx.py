@@ -14,10 +14,10 @@ depends only on its state, the update and the outcomes of its tests
 d(a, p) <= 2*gamma, so an update is applied once per group of rungs that
 share a state, in one pass over the groups. An arrival follows the cut
 rule of the (2+eps) arrival: one scan of a group's attractors at its
-first rung lo decides p there and notes the least distance in
-(2*gamma_lo, 2*gamma_top], top being its last rung. Without one, the usual
-case, the group stays whole; with one, `LadderClustering._part` cuts off
-the rungs whose 2*gamma is at least that distance, on a copy of the state
+first rung lo decides p there and notes the least distance d it tested
+false. When no rung of the group passes d, the usual case, the group
+stays whole; otherwise `LadderClustering._part` cuts off the rungs from
+`bisect_left` of d, whose 2*gamma is at least d, on a copy of the state
 taken before p changes it, and they are scanned in turn. Each part joins
 the group before it when their states are equal. An expiry purges each
 group and learns the next expiry time. It joins nothing: neighbours that
@@ -128,10 +128,10 @@ class SixApproxClustering(LadderClustering):
         for hi, end in self._groups:
             while hi < end:  # one part [lo, hi) of the group per pass
                 lo, st = hi, states[hi]
-                g, top, cut = two_g[lo], two_g[end - 1], math.inf
+                g, cut = two_g[lo], math.inf
                 # Count the attractors within 2*gamma, keep the one of smallest
                 # id whose representative p outlives, and note the least
-                # distance that some rung up to top passes.
+                # distance tested false.
                 within, best = 0, None
                 for a in st.attractors:
                     d = memo.get(a.point.id)
@@ -144,9 +144,9 @@ class SixApproxClustering(LadderClustering):
                         within += 1
                         if a.rep.t_del <= t_del and (best is None or a.point.id < best.point.id):
                             best = a
-                    elif d <= top and d < cut:
+                    elif d < cut:
                         cut = d
-                hi = self._part(lo, end, cut) if cut <= top else end
+                hi = self._part(lo, end, cut) if cut <= two_g[end - 1] else end
                 m, n = hi - lo, len(st.attractors)
                 evals += m * n
                 if not within:

@@ -18,8 +18,9 @@ keeps these groups, and an update runs once per group, in one pass over
 the groups. Rung i tests d <= 2*gamma_i, so inside a group [lo, hi) only a
 tested distance in (2*gamma_lo, 2*gamma_(hi-1)] can have different
 outcomes. One cut rule serves every change. The change runs at rung lo
-and notes the least distance in that range that it tested false. The
-rungs below `bisect_left` of that distance keep the result; the rest leave
+and notes the least distance d it tested false, and `bisect_left(_two_g,
+d, lo + 1, hi)` places the cut: it is hi, no cut, for a d above
+2*gamma_(hi-1). The rungs below the cut keep the result; the rest leave
 on a copy of the state taken before the change, to run it again and maybe
 be cut again. The changes are an arrival's first-fit scan, which
 `_arrive` runs and `_part` cuts, as for the (6+eps) arrival, and a
@@ -193,7 +194,9 @@ class TwoApproxClustering(LadderClustering):
 
     def _arrive(self, p):
         """First-fit once per part of each group, in one pass; see the module
-        docstring."""
+        docstring. The memo is emptied first, as it is keyed by point id:
+        `_admit` lets p take the id of an expired point, and an expiry's steps
+        may memoise a point that leaves later in the same pass."""
         self._memo.clear()
         k, scan, pid, t_del = self.k, self.reclustering_enabled, p.id, p.t_del
         states, two_g, distance = self.states, self._two_g, self.metric.distance
@@ -204,7 +207,7 @@ class TwoApproxClustering(LadderClustering):
             while hi < end:  # one part [lo, hi) of the group per pass
                 lo, st = hi, states[hi]
                 clusters = st.clusters
-                g, top, cut = two_g[lo], two_g[end - 1], math.inf
+                g, cut = two_g[lo], math.inf
                 for cl in clusters:
                     c = cl.center
                     d = dist.get(c.id)
@@ -212,12 +215,12 @@ class TwoApproxClustering(LadderClustering):
                         d = dist[c.id] = distance(c, p)
                     if d <= g:
                         break
-                    if d <= top and d < cut:
-                        cut = d  # the least distance some rung up to top passes
+                    if d < cut:
+                        cut = d  # the least distance tested false
                 else:
                     cl = None  # no center within 2*gamma
                 # Rungs from the cut on fit a center before cl: they leave.
-                hi = self._part(lo, end, cut) if cut <= top else end
+                hi = self._part(lo, end, cut) if cut <= two_g[end - 1] else end
                 m = hi - lo
                 n = len(clusters)
                 if cl is None:
@@ -324,12 +327,13 @@ class TwoApproxClustering(LadderClustering):
         return d
 
     def _step(self, groups, lo, hi, step, *args):
-        """Run ``step(st, g, top, *args)`` for the group of rungs [lo, hi)
-        and join the parts it leaves to groups, in order. The step runs at
-        rung lo, g = 2*gamma_lo, and sets `_cut` to the least distance it
-        tested false in (g, top], top = 2*gamma_(hi-1). Rungs below the cut
-        agree with lo and keep its result, counted once per rung; the rest
-        rerun the step from a copy taken before it."""
+        """Run ``step(st, g, *args)`` for the group of rungs [lo, hi) and
+        join the parts it leaves to groups, in order. The step runs at rung
+        lo, g = 2*gamma_lo, and sets `_cut` to the least distance it tested
+        false; `bisect_left` places it, at hi when no rung of the group
+        passes it. Rungs below the cut agree with lo and keep its result,
+        counted once per rung; the rest rerun the step from a copy taken
+        before it."""
         states, two_g = self.states, self._two_g
         while lo < hi:
             st = states[lo]
@@ -337,7 +341,7 @@ class TwoApproxClustering(LadderClustering):
                 self._split(lo + 1, hi, st)
             ops, evals = self.ops, self.metric.evals
             self._cut = math.inf
-            step(st, two_g[lo], two_g[hi - 1], *args)
+            step(st, two_g[lo], *args)
             e = bisect_left(two_g, self._cut, lo + 1, hi)
             if e > lo + 1:
                 self._share(lo + 1, e, st)
@@ -346,12 +350,7 @@ class TwoApproxClustering(LadderClustering):
             self._join(groups, lo, e)
             lo = e
 
-    def _tested(self, d, top):
-        """Note a distance tested false at rung lo that rungs up to top pass."""
-        if d <= top and d < self._cut:
-            self._cut = d
-
-    def _place(self, st, x, candidates, g, top):
+    def _place(self, st, x, candidates, g):
         """First-fit: attach x to the first candidate whose center is within
         g = 2*gamma; otherwise open a cluster at x while fewer than k exist,
         or leave x unclustered."""
@@ -361,7 +360,8 @@ class TwoApproxClustering(LadderClustering):
             if d <= g:
                 self._attach(cl, x)
                 return
-            self._tested(d, top)
+            if d < self._cut:
+                self._cut = d
         if len(st.clusters) < self.k:
             st.clusters.append(_Cluster(x))
         else:
@@ -376,7 +376,7 @@ class TwoApproxClustering(LadderClustering):
             cl.persistent += 1
         self.ops += 1
 
-    def _open_longest_lived(self, st, pool, g, top):
+    def _open_longest_lived(self, st, pool, g):
         """Open a cluster at the longest-lived point of pool, a dict id ->
         point (the first one on ties), and move into it every pool point
         within g = 2*gamma of it. The rest stay in pool, in order."""
@@ -385,7 +385,7 @@ class TwoApproxClustering(LadderClustering):
         cl = _Cluster(best)
         st.clusters.append(cl)
         if len(pool) >= ROW:
-            self._open_row(cl, pool, g, top)
+            self._open_row(cl, pool, g)
         else:
             for x in pool.values():
                 if x is not best:
@@ -393,12 +393,12 @@ class TwoApproxClustering(LadderClustering):
                     d = self._dist(x, best)
                     if d <= g:
                         self._attach(cl, x)
-                    else:
-                        self._tested(d, top)
+                    elif d < self._cut:
+                        self._cut = d
         for pid in cl.members:
             del pool[pid]
 
-    def _open_row(self, cl, pool, g, top):
+    def _open_row(self, cl, pool, g):
         """`_open_longest_lived`'s scan of a large pool as one row of
         distances to the new center cl, with the same results and counts.
         Every pool point within g joins cl as a vanishing member, as cl's
@@ -425,16 +425,16 @@ class TwoApproxClustering(LadderClustering):
             d = self.metric.block(others, [best])[:, 0]
             row.update(zip(ids, d.tolist()))
         near = d <= g
-        tested = d[~near & (d <= top)]  # the distances `_tested` would see
-        if tested.size:
-            self._cut = min(self._cut, tested.min().item())
+        far = d[d > g]  # tested false; a NaN, as in the loop, cuts nothing
+        if far.size:
+            self._cut = min(self._cut, far.min().item())
         near = near.tolist()
         joined = list(compress(others, near))
         cl.members.update(zip(compress(ids, near), joined))
         cl.vanishing += len(joined)
         self.ops += len(others) + len(joined)  # a test each, then the attaches
 
-    def _delete_center(self, st: TwoApproxGuessState, g, top, i, q):
+    def _delete_center(self, st: TwoApproxGuessState, g, i, q):
         """Reassign the members of the cluster i of center q first-fit to
         later or new clusters, or the unclustered set; drop the cluster;
         promote the longest-lived unclustered point, if any; then restore
@@ -443,15 +443,15 @@ class TwoApproxClustering(LadderClustering):
         del cl.members[q.id]
         self.ops += 2  # finding the cluster, then removing q
         for x in cl.members.values():
-            self._place(st, x, st.clusters[i + 1 :], g, top)
+            self._place(st, x, st.clusters[i + 1 :], g)
         del st.clusters[i]
         self.ops += 1
         if st.unclustered:  # changed in place, as the rungs of a group share it
-            self._open_longest_lived(st, st.unclustered, g, top)
+            self._open_longest_lived(st, st.unclustered, g)
         if self.reclustering_enabled:
             self.ops += len(st.clusters)
             if (j := self._recluster(st)) is not None:
-                self._rebuild(st, g, top, j)
+                self._rebuild(st, g, j)
 
     def _recluster(self, st: TwoApproxGuessState):
         """Where a reclustering round starts: the smallest index whose
@@ -472,7 +472,7 @@ class TwoApproxClustering(LadderClustering):
         st.slack = u_size - high
         return trigger
 
-    def _rebuild(self, st: TwoApproxGuessState, g, top, trigger):
+    def _rebuild(self, st: TwoApproxGuessState, g, trigger):
         """Recluster the clusters from trigger on, with the unclustered
         points, opening at most k - trigger clusters at longest-lived points."""
         pool = {}
@@ -484,7 +484,7 @@ class TwoApproxClustering(LadderClustering):
         for _ in range(trigger, self.k):
             if not pool:
                 break
-            self._open_longest_lived(st, pool, g, top)
+            self._open_longest_lived(st, pool, g)
         st.unclustered.clear()
         st.unclustered.update(pool)
         self.ops += len(pool)

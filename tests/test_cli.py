@@ -258,6 +258,47 @@ class TestBadInputExitCodes:
         assert self._run(out) == 1
         assert "id 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("i, j, value, message", [
+        (0, 1, -1.0, "negative distance in matrix metric"),
+        (0, 0, 1.0, "nonzero diagonal in matrix metric"),
+    ], ids=["negative", "diagonal"])
+    def test_a_table_that_is_no_metric(self, i, j, value, message, tmp_path, capsys):
+        out, mat = tmp_path / "adv.jsonl", tmp_path / "adv.csv"
+        run_cli("gen", "--kind", "adversarial", "--n", "4",
+                "--out", str(out), "--matrix-out", str(mat))
+        table = core.load_matrix_csv(str(mat)).copy()
+        table[i, j] = table[j, i] = value  # symmetric, so only this check fails
+        core.save_matrix_csv(table, str(mat))
+        capsys.readouterr()
+        assert self._run(out, "--metric", f"matrix:{mat}") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("coords", [(None, None), ([0.0, 0.0], [1.0, 0.0, 0.0])],
+                             ids=["no-coords", "2-D-and-3-D"])
+    def test_no_consistent_coordinate_dimension(self, coords, tmp_path, capsys):
+        """A Euclidean metric takes its dimension from the stream, which
+        must have exactly one."""
+        out = tmp_path / "s.jsonl"
+        rows = [{"id": i, "t_arr": i + 1, "t_del": 9} for i in range(2)]
+        for row, c in zip(rows, coords):
+            if c is not None:
+                row["coords"] = c
+        out.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert self._run(out) == 1
+        assert capsys.readouterr().err == (
+            "error: stream has no consistent coordinate dimension\n")
+
+    @pytest.mark.parametrize("algo", ["two", "six"])
+    def test_more_active_points_than_the_oracle_cap_exit_2(self, algo, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        out.write_text('{"id": 0, "t_arr": 1, "t_del": 9, "coords": [0.0]}\n'
+                       '{"id": 1, "t_arr": 2, "t_del": 9, "coords": [1.0]}\n')
+        assert run_cli("verify", "--algo", algo, "--k", "1", "--epsilon", "1.0",
+                       "--prescan", "--oracle-cap", "1", "--stream", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verification failed: oracle-cap: t=2: ")
+        assert "Traceback" not in captured.err
+
 
 class TestTypedErrors:
     """Bad parameters and flags an algorithm cannot honour exit 1 with an

@@ -49,6 +49,12 @@ class TestRadius:
 
 
 class TestExactKCenter:
+    def test_no_points(self):
+        """No CLI path reaches this: verify asks the oracle only while a
+        point is active."""
+        with pytest.raises(EmptyPoints):
+            exact_kcenter(line_metric(), [], 2)
+
     def test_k_at_least_n(self):
         pts = line_points([(0, 0, 1, 9), (1, 10, 2, 9)])
         sol = exact_kcenter(line_metric(), pts, 2)

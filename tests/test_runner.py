@@ -5,12 +5,16 @@ import dataclasses
 import pytest
 
 from dynkcenter import (
+    EuclideanMetric,
     SixApproxClustering,
+    TimedPoint,
+    TwoApproxClustering,
     adversarial_quadratic_stream,
     random_lifetime_stream,
     runner,
     sliding_window_stream,
 )
+from dynkcenter.core import validate_stream
 from dynkcenter.errors import InvalidParameter, InvariantViolation
 from dynkcenter.streamgen import uniform_coords
 
@@ -89,6 +93,30 @@ def test_verify_stops_at_the_oracle_cap():
     with pytest.raises(InvariantViolation) as e:
         runner.run(config(verify=True, oracle_cap=peak - 1), gen.stream, gen.metric.clone())
     assert e.value.invariant == "oracle-cap"
+
+
+def test_verify_checks_the_approximation_ratio(monkeypatch):
+    """An answer that keeps only its first center covers one of two
+    far-apart pairs: radius 101 against an optimum of 1, and verify says
+    so."""
+    metric = EuclideanMetric(1)
+    points = [TimedPoint(i, (x,), i + 1, 9) for i, x in enumerate((0.0, 1.0, 100.0, 101.0))]
+    stream = validate_stream(points, metric.clone())
+    two = config(verify=True, d_min=stream.d_min, d_max=stream.d_max)
+    runner.run(two, stream, metric.clone())
+
+    class FirstCenterOnly(TwoApproxClustering):
+        def _answer(self):
+            sol = super()._answer()
+            sol.centers = sol.centers[:1]
+            return sol
+
+    monkeypatch.setitem(runner.ALGORITHMS, "two",
+                        (FirstCenterOnly, runner.ALGORITHMS["two"][1]))
+    with pytest.raises(InvariantViolation) as e:
+        runner.run(two, stream, metric.clone())
+    assert e.value.invariant == "approximation-ratio"
+    assert e.value.detail.startswith("t=4: radius 101.0 > 3.0 * 1.0; centers [0]")
 
 
 def test_verify_checks_the_six_space_bound(monkeypatch):

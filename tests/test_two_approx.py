@@ -1,5 +1,6 @@
 import copy
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dynkcenter.errors import (
     NoFeasibleGuess,
     NonMonotoneArrival,
     PastTime,
+    PointNotFound,
 )
 from dynkcenter.streamgen import uniform_coords
 from conftest import assert_groups_tile_and_share, line_metric, line_points, on_a_matrix
@@ -232,6 +234,20 @@ class TestDeleteTrace:
         assert [cl.center.id for cl in st.clusters] == [2]
         assert sorted(x.id for x in st.clusters[0].members.values()) == [2, 3]
         assert len(st.unclustered) == 0
+
+    @pytest.mark.parametrize("where", ["member", "unclustered"])
+    def test_a_point_missing_from_its_group_is_point_not_found(self, where):
+        """A point its group lost before its expiry means the structure is
+        corrupt; the expiry raises rather than skip it."""
+        c = TwoApproxClustering.single_guess(1, 1.0, line_metric())
+        c.update(TimedPoint(1, (0.0,), 1, 20))
+        c.update(TimedPoint(2, (1.0,), 2, 10))  # a member of 1's cluster
+        c.update(TimedPoint(3, (5.0,), 3, 10))  # unclustered
+        st = c.states[0]
+        qid = 2 if where == "member" else 3
+        del (st.clusters[0].members if where == "member" else st.unclustered)[qid]
+        with pytest.raises(PointNotFound, match=f"point {qid} not stored"):
+            c.update(None, t=10)
 
 
 class TestRecluster:
@@ -599,6 +615,37 @@ class TestDistanceMemo:
             ]
             assert traces[0] == traces[1], seed
 
+    def test_recycled_ids_change_nothing(self):
+        """The memo is keyed by point id, and `_admit` lets an arrival take
+        the id of an expired point. A replay in which each arrival takes the
+        smallest id free at its time must match the replay with unique ids
+        after every update: ops, evals, groups and every rung's state, each
+        point named by its arrival index. (`witness` breaks ties by id, so
+        it is left out.)"""
+        def trace(gen, stream, k):
+            name = {id(q): i for i, q in enumerate(stream)}  # arrival index
+            c = TwoApproxClustering(k, 0.5, gen.stream.d_min, gen.stream.d_max,
+                                    gen.metric.clone())
+            for q in stream:
+                c.update(q)
+                yield c.ops, c.metric.evals, list(c._groups), [(
+                    [(name[id(cl.center)], [name[id(x)] for x in cl.members.values()],
+                      cl.persistent, cl.vanishing) for cl in st.clusters],
+                    [name[id(x)] for x in st.unclustered.values()],
+                ) for st in c.states]
+
+        for seed in range(40):
+            gen = random_lifetime_stream(60, 2, 6 + seed % 12, seed)
+            points = sorted(gen.stream.points, key=lambda q: q.t_arr)
+            freed, recycled = {}, []  # id -> when its last holder expires
+            for p in points:
+                pid = next(i for i in count() if freed.get(i, p.t_arr) <= p.t_arr)
+                freed[pid] = p.t_del
+                recycled.append(TimedPoint(pid, p.payload, p.t_arr, p.t_del))
+            assert len(freed) < len(points)
+            k = 2 + seed % 2
+            assert list(trace(gen, points, k)) == list(trace(gen, recycled, k)), seed
+
 
 ROW_STREAMS = {
     "sliding-w200": lambda: sliding_window_stream(uniform_coords(400, 2, 6)[0], 200),
@@ -630,9 +677,9 @@ class TestRowScans:
             points, metric = on_a_matrix(gen)
         pools, open_row = [], TwoApproxClustering._open_row
 
-        def spy(self, cl, pool, g, top):
+        def spy(self, cl, pool, g):
             pools.append(len(pool))
-            return open_row(self, cl, pool, g, top)
+            return open_row(self, cl, pool, g)
 
         monkeypatch.setattr(TwoApproxClustering, "_open_row", spy)
         runs = []
