@@ -186,7 +186,7 @@ def audit_six_approx(clustering: SixApproxClustering, active_points, t):
 def audit_six_space(clustering: SixApproxClustering, h: int):
     """Per-guess storage (current and peak) must stay within 3k+3+H points."""
     bound = 3 * clustering.k + 3 + h
-    sizes = clustering.audit_space()
+    sizes = [st.sizes() for st in clustering.states]
     for gi, ((n_a, n_r), peak) in enumerate(zip(sizes, clustering.peak_per_guess)):
         if max(n_a + n_r, peak) > bound:
             raise InvariantViolation(

@@ -42,7 +42,10 @@ def _build_parser():
                        help="compute distance bounds from the stream")
         p.add_argument("--stream", required=True)
         p.add_argument("--metric", default="euclidean",
-                       help="'euclidean' or 'matrix:PATH'")
+                       help="'euclidean' or 'matrix:PATH', a CSV table checked at any size to "
+                       "be finite, square, non-negative, zero on the diagonal and symmetric; "
+                       f"for the triangle inequality only up to {core.PAIRWISE_CHECK_CAP} "
+                       "rows, above which it is trusted")
         p.add_argument("--queries", default="end",
                        help="'every', 'end', or 'at:t1,t2,...'")
         p.add_argument("--report", default=None, help="CSV output path")
@@ -71,11 +74,10 @@ def _build_parser():
 
 
 def _load_metric(args, points):
-    if args.metric == "euclidean":
-        dims = {len(p.payload) for p in points if not isinstance(p.payload, int)}
-        if len(dims) != 1:
+    if args.metric == "euclidean":  # the loader gives each point the first's dimension
+        if isinstance(points[0].payload, int):
             raise DynKCenterError("stream has no consistent coordinate dimension")
-        return core.EuclideanMetric(dims.pop())
+        return core.EuclideanMetric(len(points[0].payload))
     if args.metric.startswith("matrix:"):
         table = core.load_matrix_csv(args.metric.split(":", 1)[1])
         return core.MatrixMetric(table)

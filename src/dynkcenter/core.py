@@ -527,7 +527,7 @@ def pairwise_extremes(metric: Metric, points) -> tuple:
 
 def save_stream_jsonl(points, path):
     with open(path, "w") as f:
-        for p in sorted(points, key=lambda q: q.t_arr):
+        for p in points:
             row = {"id": p.id, "t_arr": p.t_arr, "t_del": p.t_del}
             if not isinstance(p.payload, int):
                 row["coords"] = list(p.payload)
@@ -536,11 +536,11 @@ def save_stream_jsonl(points, path):
 
 def load_stream_jsonl(path):
     """The points of a JSONL stream file, whose lines end at LF, CR LF or a
-    lone CR. Every record carries `coords`, or none does and a point's id is
-    its matrix row; a record unlike the first, or unreadable or not UTF-8,
-    is a MalformedRecord naming the file and line."""
+    lone CR. Every record carries as many `coords` as the first, or none does
+    and a point's id is its matrix row; a record unlike the first, or
+    unreadable or not UTF-8, is a MalformedRecord naming the file and line."""
     points = []
-    coords = None  # whether the records carry coords, as the first one says
+    first = ...  # the first record's number of coords, None if it has none
     int_types, number_types = {int}, {int, float}  # a JSON true or false is a bool
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f.read().splitlines(), 1):
@@ -556,20 +556,21 @@ def load_stream_jsonl(path):
                     pid, t_arr, t_del = map(int, ints)
                     if (pid, t_arr, t_del) != ints:
                         raise ValueError(f"id and times {ints} must be integers")
-                if coords is None:
-                    coords = "coords" in row
-                elif ("coords" in row) != coords:
-                    raise ValueError(f"point {pid} {'lacks' if coords else 'has'} "
-                                     "coords, unlike the first record")
-                if coords:
+                if "coords" in row:
                     c = row["coords"]
                     if type(c) is not list or not number_types.issuperset(map(type, c)):
                         raise ValueError(f"coords {c!r} is not an array of numbers")
-                    payload = tuple(map(float, c))
+                    payload, dim = tuple(map(float, c)), len(c)
                     if not all(map(math.isfinite, payload)):
                         raise ValueError("non-finite coordinate")
                 else:
-                    payload = pid
+                    payload, dim = pid, None
+                if first is ...:
+                    first = dim
+                elif dim != first:
+                    raise ValueError(f"point {pid} has {'no' if dim is None else dim} coords, "
+                                     "unlike the first record, which has "
+                                     f"{'none' if first is None else first}")
                 point = TimedPoint(pid, payload, t_arr, t_del)
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise MalformedRecord(f"{path} line {lineno}: {e!r}") from e

@@ -127,7 +127,8 @@ def _query_times(queries, points) -> set:
 
 
 def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
-    """Replay the stream in arrival order, querying per the schedule.
+    """Replay the stream in the arrival order `EventStream` keeps, querying
+    per the schedule; a point out of order raises NonMonotoneArrival.
 
     Under verify the invariant audits (for six with the 3k+3+H space bound
     and the per-update op bound) run after every update, at most
@@ -136,8 +137,7 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
     """
     if config.oracle_cap < 1:
         raise InvalidParameter(f"oracle cap must be >= 1, got {config.oracle_cap}")
-    points = sorted(stream.points, key=lambda p: p.t_arr)
-    query_times = _query_times(config.queries, points)
+    query_times = _query_times(config.queries, stream.points)
     clustering = make_clustering(config, metric)
     _, audit = ALGORITHMS[config.algorithm]
     oracle_metric = metric.clone()
@@ -146,12 +146,29 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
     tracker = VanishingTracker()
     report = RunReport(clustering=clustering)
     started = _time.perf_counter()
-
-    def do_query(t, active):
+    # Arrivals not yet known to have expired; pruned only when an audit or
+    # a query reads the active set, which then holds at least p.
+    active = []
+    for p in stream.points:
+        t = p.t_arr
+        clustering.update(p)
+        active.append(p)
+        query = t in query_times
+        if config.verify or query:
+            active = [x for x in active if x.t_del > t]
+        if config.verify:
+            if len(active) > config.oracle_cap:
+                raise InvariantViolation(
+                    "oracle-cap",
+                    f"t={t}: {len(active)} active points exceed cap {config.oracle_cap}",
+                )
+            audit(clustering, active, t, tracker, h)
+        if not query:
+            continue
         sol = clustering.query(t)
-        rad = radius(oracle_metric, sol.centers, active) if active else 0.0
+        rad = radius(oracle_metric, sol.centers, active)
         opt = ratio = None
-        if config.verify and active:
+        if config.verify:
             opt = exact_kcenter(oracle_metric, active, config.k, config.oracle_cap).radius
             # An optimum of 0 is matched only by a radius of 0.
             ratio = rad / opt if opt > 0 else (1.0 if rad == 0 else math.inf)
@@ -176,26 +193,6 @@ def run(config: RunConfig, stream: EventStream, metric: Metric) -> RunReport:
                 "measured_h": h,
             }
         )
-
-    # Arrivals not yet known to have expired; pruned only when an audit or
-    # a query reads the active set.
-    active = []
-    for p in points:
-        t = p.t_arr
-        clustering.update(p)
-        active.append(p)
-        query = t in query_times
-        if config.verify or query:
-            active = [x for x in active if x.t_del > t]
-        if config.verify:
-            if len(active) > config.oracle_cap:
-                raise InvariantViolation(
-                    "oracle-cap",
-                    f"t={t}: {len(active)} active points exceed cap {config.oracle_cap}",
-                )
-            audit(clustering, active, t, tracker, h)
-        if query:
-            do_query(t, active)
     report.wall_time = _time.perf_counter() - started
     return report
 

@@ -76,6 +76,8 @@ class SixApproxGuessState:
         return [a.rep for a in self.attractors] + list(self.orphans.values())
 
     def sizes(self):
+        """(|A|, |R|), R being each attractor's representative plus the orphans:
+        a point that represents its own attractor counts in both, as 3k+3+H counts it."""
         return len(self.attractors), len(self.attractors) + len(self.orphans)
 
 
@@ -249,10 +251,6 @@ class SixApproxClustering(LadderClustering):
         raise NoFeasibleGuess("no guess admits a k-cover of its representatives")
 
     # -- instrumentation ----------------------------------------------------
-
-    def audit_space(self):
-        """Current (|A|, |R|) per guess; read only, as only `update` raises peaks."""
-        return [st.sizes() for st in self.states]
 
     @property
     def peak_stored(self) -> int:

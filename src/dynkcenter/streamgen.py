@@ -25,7 +25,6 @@ from .errors import InvalidH, InvalidParameter, StreamError
 class GeneratedStream:
     stream: EventStream
     metric: Metric
-    declared_h: int | None
 
 
 def uniform_coords(n: int, dim: int, seed: int):
@@ -38,7 +37,7 @@ def uniform_coords(n: int, dim: int, seed: int):
     return rng.random((n, dim)), rng
 
 
-def _euclidean_stream(coords, t_arrs, t_dels, declared_h):
+def _euclidean_stream(coords, t_arrs, t_dels):
     coords = np.asarray(coords, dtype=float)
     # Python floats, as loaded payloads are: numpy scalars cost more per operation.
     points = [
@@ -46,7 +45,7 @@ def _euclidean_stream(coords, t_arrs, t_dels, declared_h):
         for i, c in enumerate(coords.tolist())
     ]
     metric = EuclideanMetric(coords.shape[1])
-    return GeneratedStream(validate_stream(points, metric), metric, declared_h)
+    return GeneratedStream(validate_stream(points, metric), metric)
 
 
 def sliding_window_stream(payloads, window: int) -> GeneratedStream:
@@ -57,7 +56,7 @@ def sliding_window_stream(payloads, window: int) -> GeneratedStream:
     n = len(payloads)
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [i + 1 + window for i in range(n)]
-    return _euclidean_stream(payloads, t_arrs, t_dels, declared_h=0)
+    return _euclidean_stream(payloads, t_arrs, t_dels)
 
 
 def random_lifetime_stream(n: int, payload_dim: int, max_life: int, seed: int) -> GeneratedStream:
@@ -69,7 +68,7 @@ def random_lifetime_stream(n: int, payload_dim: int, max_life: int, seed: int) -
     lives = rng.integers(1, max_life + 1, size=n)
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [t_arrs[i] + int(lives[i]) for i in range(n)]
-    return _euclidean_stream(coords, t_arrs, t_dels, declared_h=None)
+    return _euclidean_stream(coords, t_arrs, t_dels)
 
 
 def h_bounded_stream(n: int, h: int, payload_dim: int, seed: int) -> GeneratedStream:
@@ -86,7 +85,7 @@ def h_bounded_stream(n: int, h: int, payload_dim: int, seed: int) -> GeneratedSt
         ranks[start:stop] = rng.permutation(ranks[start:stop])
     t_arrs = [i + 1 for i in range(n)]
     t_dels = [n + 2 + int(ranks[i]) for i in range(n)]
-    return _euclidean_stream(coords, t_arrs, t_dels, declared_h=h)
+    return _euclidean_stream(coords, t_arrs, t_dels)
 
 
 def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
@@ -124,7 +123,7 @@ def adversarial_quadratic_stream(n: int, gamma: float) -> GeneratedStream:
             t_del = t_arr + 2
         points.append(TimedPoint(i, i, t_arr, t_del))
     stream = EventStream(points, 0.1 * gamma, 2.5 * gamma)
-    return GeneratedStream(stream, metric, declared_h=None)
+    return GeneratedStream(stream, metric)
 
 
 def measure_h(stream: EventStream) -> int:

@@ -80,8 +80,10 @@ from .core import GuessLadder, LadderClustering, Metric, deletion_key
 from .errors import DuplicateId, NoCurrentQuery, NoFeasibleGuess, PointNotFound
 from .oracle import Solution
 
-# Pools of at least this many points are scanned as one block row. Below
-# it numpy's per-call cost outweighs the scalar loop's ~1.3 us a point.
+# Pools of at least this many points are scanned as one block row. In 2-D on
+# a 2-core VM, either backend, the loop costs 0.75-0.95 us a point and the row
+# 15-19 us plus 0.3-0.4 us a point: level at ~32 points, 0.65-0.77x the loop at
+# 64. random-two-prescan's pools stay below 42; sliding-two-matrix's reach 499.
 ROW = 64
 
 _NO_ROW = {}  # the row of a center with none in the memo; never written

@@ -273,11 +273,15 @@ class TestBadInputExitCodes:
         assert self._run(out, "--metric", f"matrix:{mat}") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("coords", [(None, None), ([0.0, 0.0], [1.0, 0.0, 0.0])],
-                             ids=["no-coords", "2-D-and-3-D"])
-    def test_no_consistent_coordinate_dimension(self, coords, tmp_path, capsys):
+    @pytest.mark.parametrize("coords, err", [
+        ((None, None), "error: stream has no consistent coordinate dimension\n"),
+        (([0.0, 0.0], [1.0, 0.0, 0.0]), "error: {} line 2: ValueError('point 1 has 3 coords, "
+                                         "unlike the first record, which has 2')\n"),
+    ], ids=["no-coords", "2-D-and-3-D"])
+    def test_no_consistent_coordinate_dimension(self, coords, err, tmp_path, capsys):
         """A Euclidean metric takes its dimension from the stream, which
-        must have exactly one."""
+        must have exactly one: the loader names the first record with
+        another."""
         out = tmp_path / "s.jsonl"
         rows = [{"id": i, "t_arr": i + 1, "t_del": 9} for i in range(2)]
         for row, c in zip(rows, coords):
@@ -285,8 +289,7 @@ class TestBadInputExitCodes:
                 row["coords"] = c
         out.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert self._run(out) == 1
-        assert capsys.readouterr().err == (
-            "error: stream has no consistent coordinate dimension\n")
+        assert capsys.readouterr().err == err.format(out)
 
     @pytest.mark.parametrize("algo", ["two", "six"])
     def test_more_active_points_than_the_oracle_cap_exit_2(self, algo, tmp_path, capsys):

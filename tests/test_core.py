@@ -338,6 +338,22 @@ def test_jsonl_record_unlike_the_first_is_malformed(payloads, bad, tmp_path):
         load_stream_jsonl(path)
 
 
+@pytest.mark.parametrize("first, second, blank", [
+    ([0.0, 0.0], [1.0, 0.0, 0.0], False),
+    ([0.0, 0.0, 0.0], [1.0], True),
+], ids=["2-D-then-3-D", "3-D-then-1-D-after-a-blank-line"])
+def test_jsonl_record_of_another_dimension_is_malformed(first, second, blank, tmp_path):
+    """Every record has as many coords as the first: the first that differs
+    is named by its line, blank lines counted, and both counts."""
+    path = tmp_path / "s.jsonl"
+    rows = [json.dumps({"id": i, "t_arr": i + 1, "t_del": 9, "coords": c})
+            for i, c in enumerate([first, second])]
+    path.write_text("\n".join(rows[:1] + [""] * blank + rows[1:]) + "\n")
+    with pytest.raises(MalformedRecord, match=rf"s\.jsonl line {2 + blank}: .*point 1 has "
+                       rf"{len(second)} coords, unlike the first record, which has {len(first)}"):
+        load_stream_jsonl(path)
+
+
 def scalar_extremes(metric, points):
     """Reference: every pair through `distance`, one at a time."""
     ds = [metric.distance(p, q) for i, p in enumerate(points) for q in points[i + 1 :]]

@@ -14,8 +14,8 @@ from dynkcenter import (
     runner,
     sliding_window_stream,
 )
-from dynkcenter.core import validate_stream
-from dynkcenter.errors import InvalidParameter, InvariantViolation
+from dynkcenter.core import EventStream, validate_stream
+from dynkcenter.errors import InvalidParameter, InvariantViolation, NonMonotoneArrival
 from dynkcenter.streamgen import uniform_coords
 
 CONFIG = runner.RunConfig(algorithm="two", k=2, epsilon=1.0, d_min=0.05, d_max=2.0)
@@ -66,6 +66,17 @@ def test_end_query_reads_the_final_state():
     assert end.rows[0]["time"] == every.rows[-1]["time"]
     assert end.rows[0]["radius"] == every.rows[-1]["radius"]
     assert end.rows[0]["gamma"] == every.rows[-1]["gamma"]
+
+
+@pytest.mark.parametrize("algorithm", list(runner.ALGORITHMS))
+def test_run_replays_the_points_in_their_given_order(algorithm):
+    """An `EventStream` keeps its points in arrival order, and `run` replays
+    them as given: two swapped points are refused, not sorted."""
+    pts = random_lifetime_stream(10, 2, 8, seed=5).stream.points
+    pts[3], pts[4] = pts[4], pts[3]
+    with pytest.raises(NonMonotoneArrival, match=f"arrival {pts[4].t_arr} not after "):
+        runner.run(config(algorithm=algorithm), EventStream(pts, 0.05, 2.0),
+                   EuclideanMetric(2))
 
 
 ADVERSARIAL = {"d_min": 1.0, "d_max": 1.0, "single_gamma": 1.0}

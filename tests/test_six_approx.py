@@ -195,9 +195,10 @@ class TestAuditsAndSpace:
 
     def test_audit_space_snapshot(self):
         c = SixApproxClustering(1, 6.0, 1, 4, line_metric())
-        assert c.audit_space() == [(0, 0)] * 3
+        assert [st.sizes() for st in c.states] == [(0, 0)] * 3
         c.update(TimedPoint(1, (0.0,), 1, 10))
-        assert c.audit_space() == [(1, 1)] * 3
+        # The point is its own attractor and that attractor's representative.
+        assert [st.sizes() for st in c.states] == [(1, 1)] * 3
 
 
 TAME_STREAMS = {

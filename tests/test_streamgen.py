@@ -35,7 +35,6 @@ class TestSlidingWindow:
         gen = sliding_window_stream([(0.0,), (1.0,), (2.0,)], window=2)
         lifes = [(p.t_arr, p.t_del) for p in gen.stream.points]
         assert lifes == [(1, 3), (2, 4), (3, 5)]
-        assert gen.declared_h == 0
         assert measure_h(gen.stream) == 0
 
     def test_window_one(self):
